@@ -24,7 +24,7 @@ func (e *Engine) SelectTopL(q Query, method KeywordMethod, l int) ([]Selection, 
 	if l <= 0 {
 		return nil, fmt.Errorf("core: l must be positive")
 	}
-	w := textrelCandidateSet(q)
+	w := newKeywordSet(q)
 	lcs := e.locationCandidates(q, w, true)
 
 	best := container.NewTopK[Selection](l)

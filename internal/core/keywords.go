@@ -1,17 +1,30 @@
 package core
 
 import (
-	"sort"
+	"sync/atomic"
 
-	"repro/internal/container"
+	"repro/internal/dataset"
 	"repro/internal/parallel"
-	"repro/internal/textrel"
 	"repro/internal/vocab"
 )
 
+// memoMaxWidth caps the qualification memo of the count kernel: a
+// contested user with more candidate terms than this would need
+// (ws+1)·2^width memo slots, so the kernel scores such a user directly
+// on every combination that can change their membership instead.
+const memoMaxWidth = 10
+
+// Memo slot states of exactScratch.memo.
+const (
+	memoUnknown int8 = iota
+	memoQualifies
+	memoFails
+)
+
 // exactPrep is the per-location state Algorithm 4 shares across keyword
-// combinations: the pruned candidate keywords, the user partition, and the
-// zero-keyword floor selection every combination must strictly beat.
+// combinations: the pruned candidate keywords, the user partition, the
+// zero-keyword floor selection every combination must strictly beat, and
+// the count kernel's index over the contested users.
 type exactPrep struct {
 	li        int
 	cand      []vocab.TermID
@@ -19,22 +32,62 @@ type exactPrep struct {
 	alwaysIn  []int32
 	bare      Selection
 	maxSize   int
+	// maxCount is |alwaysIn| + |contested|, the most users any
+	// combination can reach at this location.
+	maxCount int
+
+	// newTerm[i] reports that cand[i] is absent from ox.d, so adding it
+	// grows the merged document's length.
+	newTerm []bool
+	// postOff/post are candidate-index → contested-user postings in CSR
+	// form: post[postOff[i]:postOff[i+1]] lists the holders of cand[i].
+	postOff []int32
+	post    []posting
+	// bareIdx lists the contested indexes of the users that qualify on
+	// the bare description; they count for a combination that misses
+	// their terms only if the longer document does not dilute them.
+	bareIdx []int32
+	// memoSize is the total number of memo slots over all memoized users.
+	memoSize int
+}
+
+// posting is one contested user holding a candidate term: the user's
+// index into exactPrep.contested and the term's bit in that user's mask
+// (zero for users too wide to memoize).
+type posting struct {
+	cu  int32
+	bit uint32
+}
+
+// contestedUser is a qualifying-list user whose membership depends on the
+// chosen keyword combination. bareQualified records whether ox's bare
+// description already clears the user's threshold (relevant under LM,
+// where additions may push them back below it). ss is the user's spatial
+// proximity to the location; width is the number of the user's terms in
+// the candidate set and memoOff the first of the user's (maxSize+1)·2^width
+// memo slots, or -1 when width exceeds memoMaxWidth.
+type contestedUser struct {
+	ui            int
+	bareQualified bool
+	ss            float64
+	width         int
+	memoOff       int
 }
 
 // prepareExact runs the user- and keyword-pruning of Section 6.2.2 once
-// for a location.
-func (e *Engine) prepareExact(q Query, lc locCandidate, w textrel.CandidateSet) exactPrep {
+// for a location and builds the count kernel's postings.
+func (e *Engine) prepareExact(q Query, lc locCandidate, w keywordSet) exactPrep {
 	li := lc.li
 
 	// Keyword pruning: only candidates occurring in at least one
 	// qualifying user's description can change any user's relevance.
-	cand := e.keywordsInUsers(q, lc.users, w)
+	cand := e.keywordsInUsers(lc.users, w, make([]bool, len(w.terms)))
 
 	// Users already qualifying on ox's bare description (lower bound
 	// LBL(ℓ,u) = exact zero-keyword STS ≥ RSk(u)) count for every
 	// combination under addition-monotone models; under LM an added
 	// keyword can dilute their score below RSk(u), so they stay contested
-	// (tupleUsersInto re-scores them per combination).
+	// (countCombo re-scores them per combination).
 	var alwaysIn []int32
 	var contested []contestedUser
 	monotone := e.Scorer.Model.AdditionMonotone()
@@ -48,7 +101,10 @@ func (e *Engine) prepareExact(q Query, lc locCandidate, w textrel.CandidateSet) 
 				continue
 			}
 		}
-		contested = append(contested, contestedUser{ui: ui, bareQualified: qualified})
+		contested = append(contested, contestedUser{
+			ui: ui, bareQualified: qualified,
+			ss: e.Scorer.SS(q.Locations[li], e.Users[ui].Loc),
+		})
 	}
 
 	// Definition 1 admits any |W'| ≤ ws. Under TF-IDF and KO larger sets
@@ -61,10 +117,76 @@ func (e *Engine) prepareExact(q Query, lc locCandidate, w textrel.CandidateSet) 
 	if len(cand) < maxSize {
 		maxSize = len(cand)
 	}
-	return exactPrep{
+	p := exactPrep{
 		li: li, cand: cand, contested: contested, alwaysIn: alwaysIn,
-		bare:    Selection{LocIndex: li, Location: q.Locations[li], Users: bare},
-		maxSize: maxSize,
+		bare:     Selection{LocIndex: li, Location: q.Locations[li], Users: bare},
+		maxSize:  maxSize,
+		maxCount: len(alwaysIn) + len(contested),
+	}
+	p.buildPostings(e.Users, q.OxDoc)
+	return p
+}
+
+// buildPostings fills the count kernel's per-location index: which
+// candidates are new to ox.d, the candidate → contested-user postings
+// with each user's mask bits, the bare-qualified users, and the memo
+// layout.
+func (p *exactPrep) buildPostings(users []dataset.User, oxDoc vocab.Doc) {
+	p.newTerm = make([]bool, len(p.cand))
+	for i, t := range p.cand {
+		p.newTerm[i] = !oxDoc.Has(t)
+	}
+	counts := make([]int32, len(p.cand)+1)
+	for ci := range p.contested {
+		c := &p.contested[ci]
+		forEachCandIndex(users[c.ui].Doc.Terms(), p.cand, func(i int) {
+			counts[i+1]++
+			c.width++
+		})
+		if c.bareQualified {
+			p.bareIdx = append(p.bareIdx, int32(ci))
+		}
+		c.memoOff = -1
+		if c.width <= memoMaxWidth {
+			c.memoOff = p.memoSize
+			p.memoSize += (p.maxSize + 1) << c.width
+		}
+	}
+	for i := 1; i < len(counts); i++ {
+		counts[i] += counts[i-1]
+	}
+	p.postOff = counts
+	p.post = make([]posting, counts[len(counts)-1])
+	fill := append([]int32(nil), counts[:len(p.cand)]...)
+	for ci := range p.contested {
+		c := &p.contested[ci]
+		b := 0
+		forEachCandIndex(users[c.ui].Doc.Terms(), p.cand, func(i int) {
+			pe := posting{cu: int32(ci)}
+			if c.memoOff >= 0 {
+				pe.bit = 1 << b
+			}
+			p.post[fill[i]] = pe
+			fill[i]++
+			b++
+		})
+	}
+}
+
+// forEachCandIndex calls fn with the index into cand of every term of the
+// ascending list terms that cand (also ascending) contains, in order.
+func forEachCandIndex(terms, cand []vocab.TermID, fn func(i int)) {
+	j := 0
+	for _, t := range terms {
+		for j < len(cand) && cand[j] < t {
+			j++
+		}
+		if j == len(cand) {
+			return
+		}
+		if cand[j] == t {
+			fn(j)
+		}
 	}
 }
 
@@ -87,49 +209,203 @@ func (p *exactPrep) units() []exactUnit {
 	return out
 }
 
-// exactScratch holds one worker's reusable buffers for the combination
-// scan: the combination being evaluated, the qualifying-user list, and
-// the merged-document buffers — the per-combination allocations of the
-// scan, paid once per worker instead. The zero value is ready to use; a
-// scratch must not be shared between concurrent scans.
+// exactScratch holds one worker's reusable state for the combination scan
+// of one location: the combination being evaluated (as candidate indexes
+// and as terms), the count kernel's touched-user stamps and masks, its
+// qualification memo, the merged-document buffers, and the keywords of
+// the unit's best combination so far. It binds to a location's exactPrep
+// on first use and re-binds (clearing the memo) when handed another. The
+// zero value is ready to use; a scratch must not be shared between
+// concurrent scans.
 type exactScratch struct {
-	combo []vocab.TermID
-	users []int32
-	merge vocab.MergeScratch
+	prep    *exactPrep
+	idx     []int32
+	combo   []vocab.TermID
+	best    []vocab.TermID
+	stamp   []uint32
+	mask    []uint32
+	touched []int32
+	epoch   uint32
+	memo    []int8
+	merge   vocab.MergeScratch
+	doc     vocab.Doc
+	haveDoc bool
+	users   []int32
 }
 
-// scanUnit evaluates one unit's combinations in enumeration order,
-// returning the first selection (if any) strictly beating the floor count
-// and every earlier combination in the unit.
+// bind prepares the scratch for p's location: buffers sized for the
+// widest unit and every contested user, stamps and memo cleared.
+func (sc *exactScratch) bind(p *exactPrep) {
+	sc.prep = p
+	sc.idx = growTo(sc.idx, p.maxSize)
+	sc.combo = growTo(sc.combo, p.maxSize)
+	sc.best = growTo(sc.best, p.maxSize)
+	sc.stamp = growTo(sc.stamp, len(p.contested))
+	clear(sc.stamp)
+	sc.mask = growTo(sc.mask, len(p.contested))
+	sc.touched = growTo(sc.touched, len(p.contested))
+	sc.epoch = 0
+	sc.memo = growTo(sc.memo, p.memoSize)
+	clear(sc.memo)
+}
+
+// growTo returns s resliced to length n, reallocating only when its
+// capacity is short.
+func growTo[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// unitBest is one unit's scan result: the count and keywords of its first
+// combination strictly beating the floor and every earlier combination
+// of the unit (found is false when none did).
+type unitBest struct {
+	count    int
+	keywords []vocab.TermID
+	found    bool
+}
+
+// scanUnit evaluates one unit's combinations in enumeration order with
+// the count kernel. It stops early once a combination reaches the
+// location's achievable maximum: later combinations can only tie it, and
+// ties never replace the incumbent.
 //
 //maxbr:hotpath
-func (e *Engine) scanUnit(q Query, p *exactPrep, u exactUnit, sc *exactScratch) (Selection, bool) {
-	best := Selection{}
-	bestCount := p.bare.Count()
-	found := false
-	if cap(sc.combo) < u.size {
-		//maxbr:ignore hotpathalloc scratch growth, amortized: combo is retained in sc and only re-made when a wider unit arrives
-		sc.combo = make([]vocab.TermID, u.size)
+func (e *Engine) scanUnit(q Query, p *exactPrep, u exactUnit, sc *exactScratch) unitBest {
+	res := unitBest{count: p.bare.Count()}
+	if res.count >= p.maxCount {
+		return res
 	}
-	combo := sc.combo[:u.size]
-	combo[0] = p.cand[u.lead]
-	//maxbr:ignore hotpathalloc one closure per unit, not per combination: Combinations invokes it in a loop internally
-	container.Combinations(p.cand[u.lead+1:], u.size-1, func(rest []vocab.TermID) bool {
-		copy(combo[1:], rest)
-		users := e.tupleUsersInto(q, p.li, combo, p.contested, p.alwaysIn, sc)
-		if len(users) > bestCount {
-			bestCount = len(users)
-			best = Selection{
-				LocIndex: p.li,
-				Location: q.Locations[p.li],
-				Keywords: append([]vocab.TermID(nil), combo...),
-				Users:    append([]int32(nil), users...),
+	if sc.prep != p {
+		sc.bind(p)
+	}
+	k := u.size
+	last := int32(len(p.cand))
+	idx := sc.idx[:k]
+	for i := range idx {
+		idx[i] = int32(u.lead + i)
+	}
+	for {
+		if n := e.countCombo(q, p, idx, sc); n > res.count {
+			res.count, res.found = n, true
+			copy(sc.best, sc.combo)
+			if n == p.maxCount {
+				break
 			}
-			found = true
 		}
+		// Advance the rightmost non-lead position that can still move.
+		i := k - 1
+		for i >= 1 && idx[i] == last-int32(k-i) {
+			i--
+		}
+		if i < 1 {
+			break
+		}
+		idx[i]++
+		for j := i + 1; j < k; j++ {
+			idx[j] = idx[j-1] + 1
+		}
+	}
+	if res.found {
+		//maxbr:ignore hotpathalloc one result per unit, not per combination
+		res.keywords = append([]vocab.TermID(nil), sc.best[:k]...)
+	}
+	return res
+}
+
+// countCombo is the count kernel: |BRSTkNN| of 〈location, ox.d ∪ c〉 for
+// the combination c = cand[idx], equal to len(tupleUsersInto(c)).
+//
+// Because every Model's Weight(d, t) reads only d.Freq(t) and d.Len(),
+// and merging c into ox.d adds frequency-1 terms and grows the length
+// only by the n terms of c new to ox.d, a user's exact score against
+// ox.d ∪ c depends only on n and on which of the user's candidate terms
+// c holds (their mask). The kernel walks c's postings to collect the
+// touched users and their masks, then counts the always-qualifying
+// users, the untouched bare-qualified users that qualify at (n, 0) and
+// the touched users that qualify at (n, mask). Each qualification is
+// looked up in the scratch's memo and, on a miss, computed by the same
+// exact STS comparison as isBRSTkNN on the real merged document. sc must
+// be bound to p (see exactScratch.bind); on return sc.combo holds c.
+//
+//maxbr:hotpath
+func (e *Engine) countCombo(q Query, p *exactPrep, idx []int32, sc *exactScratch) int {
+	sc.combo = sc.combo[:len(idx)]
+	for i, ci := range idx {
+		sc.combo[i] = p.cand[ci]
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stale stamps could collide
+		clear(sc.stamp)
+		sc.epoch = 1
+	}
+	epoch := sc.epoch
+	n, touched := 0, 0
+	for _, ci := range idx {
+		if p.newTerm[ci] {
+			n++
+		}
+		for _, pe := range p.post[p.postOff[ci]:p.postOff[ci+1]] {
+			if sc.stamp[pe.cu] != epoch {
+				sc.stamp[pe.cu] = epoch
+				sc.mask[pe.cu] = 0
+				sc.touched[touched] = pe.cu
+				touched++
+			}
+			sc.mask[pe.cu] |= pe.bit
+		}
+	}
+	sc.haveDoc = false
+	count := len(p.alwaysIn)
+	for _, cu := range p.bareIdx {
+		if sc.stamp[cu] != epoch && e.comboQualifies(q, p, sc, cu, n, 0) {
+			count++
+		}
+	}
+	for _, cu := range sc.touched[:touched] {
+		if e.comboQualifies(q, p, sc, cu, n, sc.mask[cu]) {
+			count++
+		}
+	}
+	return count
+}
+
+// comboQualifies reports whether contested user cu qualifies for the
+// scratch's current combination, which adds n new terms to ox.d and holds
+// the user's candidate terms in mask.
+func (e *Engine) comboQualifies(q Query, p *exactPrep, sc *exactScratch, cu int32, n int, mask uint32) bool {
+	c := &p.contested[cu]
+	if c.memoOff < 0 {
+		return e.comboScore(q, sc, c)
+	}
+	slot := c.memoOff + n<<c.width + int(mask)
+	switch sc.memo[slot] {
+	case memoQualifies:
 		return true
-	})
-	return best, found
+	case memoFails:
+		return false
+	}
+	ok := e.comboScore(q, sc, c)
+	sc.memo[slot] = memoFails
+	if ok {
+		sc.memo[slot] = memoQualifies
+	}
+	return ok
+}
+
+// comboScore is isBRSTkNN for the scratch's current combination, merging
+// ox.d ∪ c at most once per combination and reusing the user's hoisted
+// spatial proximity (STS goes through STSFromSS, so the score is
+// bit-identical).
+func (e *Engine) comboScore(q Query, sc *exactScratch, c *contestedUser) bool {
+	if !sc.haveDoc {
+		sc.doc = q.OxDoc.MergeTermsInto(sc.combo, &sc.merge)
+		sc.haveDoc = true
+	}
+	u := &e.Users[c.ui]
+	return e.Scorer.STSFromSS(c.ss, sc.doc, u.Doc, e.norms[c.ui]) >= e.rsk[c.ui]
 }
 
 // selectKeywordsExact implements Algorithm 4: enumerate size-ws
@@ -137,43 +413,61 @@ func (e *Engine) scanUnit(q Query, p *exactPrep, u exactUnit, sc *exactScratch) 
 // BRSTkNN exactly, with the user- and keyword-pruning of Section 6.2.2.
 // The combination space is chunked into units; with workers > 1 the units
 // fan out over a bounded pool, and the in-order reduction keeps the result
-// identical to the sequential scan.
-func (e *Engine) selectKeywordsExact(q Query, lc locCandidate, w textrel.CandidateSet, workers int) Selection {
+// identical to the sequential scan. Only the winning combination's user
+// list is materialized.
+func (e *Engine) selectKeywordsExact(q Query, lc locCandidate, w keywordSet, workers int) Selection {
 	p := e.prepareExact(q, lc, w)
 	units := p.units()
-	best := p.bare
+	best := unitBest{count: p.bare.Count()}
+	var sc exactScratch // sequential scan and final materialization
 
 	if workers <= 1 || len(units) <= 1 {
-		var sc exactScratch // reused across the whole sequential scan
 		for _, u := range units {
-			if sel, ok := e.scanUnit(q, &p, u, &sc); ok && sel.Count() > best.Count() {
-				best = sel
+			if r := e.scanUnit(q, &p, u, &sc); r.found && r.count > best.count {
+				best = r
+			}
+			if best.count >= p.maxCount {
+				break // later units can only tie
 			}
 		}
-		return best
-	}
-
-	sels := make([]Selection, len(units))
-	found := make([]bool, len(units))
-	scratches := make([]exactScratch, parallel.Workers(len(units), workers))
-	parallel.ForNWorkers(len(units), workers, func(w, i int) {
-		sels[i], found[i] = e.scanUnit(q, &p, units[i], &scratches[w])
-	})
-	for i := range units {
-		if found[i] && sels[i].Count() > best.Count() {
-			best = sels[i]
+	} else {
+		results := make([]unitBest, len(units))
+		scratches := make([]exactScratch, parallel.Workers(len(units), workers))
+		// reached is the earliest unit known to hit the achievable
+		// maximum; a later unit can only tie it and is skipped.
+		var reached atomic.Int64
+		reached.Store(int64(len(units)))
+		parallel.ForNWorkers(len(units), workers, func(w, i int) {
+			if reached.Load() < int64(i) {
+				return
+			}
+			results[i] = e.scanUnit(q, &p, units[i], &scratches[w])
+			if results[i].count < p.maxCount {
+				return
+			}
+			for cur := reached.Load(); int64(i) < cur; cur = reached.Load() {
+				if reached.CompareAndSwap(cur, int64(i)) {
+					break
+				}
+			}
+		})
+		for _, r := range results {
+			if r.found && r.count > best.count {
+				best = r
+			}
 		}
 	}
-	return best
-}
 
-// contestedUser is a qualifying-list user whose membership depends on the
-// chosen keyword combination. bareQualified records whether ox's bare
-// description already clears the user's threshold (relevant under LM,
-// where additions may push them back below it).
-type contestedUser struct {
-	ui            int
-	bareQualified bool
+	if !best.found {
+		return p.bare
+	}
+	users := e.tupleUsersInto(q, p.li, best.keywords, p.contested, p.alwaysIn, &sc)
+	return Selection{
+		LocIndex: p.li,
+		Location: q.Locations[p.li],
+		Keywords: best.keywords,
+		Users:    append([]int32(nil), users...),
+	}
 }
 
 // tupleUsersInto counts the BRSTkNN of 〈location li, ox.d ∪ combo〉: the
@@ -209,20 +503,25 @@ func overlapsAny(d vocab.Doc, terms []vocab.TermID) bool {
 }
 
 // keywordsInUsers returns W ∩ (∪ u.d over the given users), ascending.
-func (e *Engine) keywordsInUsers(q Query, users []int, w textrel.CandidateSet) []vocab.TermID {
-	seen := make(map[vocab.TermID]bool)
+// marks is caller scratch of len(w.terms), all false on entry and on
+// return; the result is the only allocation.
+func (e *Engine) keywordsInUsers(users []int, w keywordSet, marks []bool) []vocab.TermID {
+	n := 0
 	for _, ui := range users {
-		for _, t := range e.Users[ui].Doc.Terms() {
-			if w[t] {
-				seen[t] = true
+		forEachCandIndex(e.Users[ui].Doc.Terms(), w.terms, func(i int) {
+			if !marks[i] {
+				marks[i] = true
+				n++
 			}
+		})
+	}
+	out := make([]vocab.TermID, 0, n)
+	for i, m := range marks {
+		if m {
+			out = append(out, w.terms[i])
+			marks[i] = false
 		}
 	}
-	out := make([]vocab.TermID, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -230,7 +529,7 @@ func (e *Engine) keywordsInUsers(q Query, users []int, w textrel.CandidateSet) [
 // selection of Section 6.2.1: build, for every candidate keyword, the
 // optimistic user list LUW_w (via the HW_{w,u} top-weighted completion),
 // run greedy maximum coverage, then count the chosen set exactly.
-func (e *Engine) selectKeywordsGreedy(q Query, lc locCandidate, w textrel.CandidateSet) Selection {
+func (e *Engine) selectKeywordsGreedy(q Query, lc locCandidate, w keywordSet) Selection {
 	li := lc.li
 
 	// Preprocessing: LUW_w per keyword. A user joins LUW_w when w's
@@ -242,10 +541,10 @@ func (e *Engine) selectKeywordsGreedy(q Query, lc locCandidate, w textrel.Candid
 	for _, ui := range lc.users {
 		u := &e.Users[ui]
 		for _, t := range u.Doc.Terms() {
-			if !w[t] {
+			if !w.set[t] {
 				continue
 			}
-			hw := e.Scorer.TopWeightedCandidates(q.OxDoc, u.Doc, w, q.WS, t, true)
+			hw := e.Scorer.TopWeightedCandidates(q.OxDoc, u.Doc, w.set, q.WS, t, true)
 			qualifies := e.sts(q, li, q.OxDoc.MergeTerms(hw), ui) >= e.rsk[ui]
 			if !qualifies && len(hw) > 1 {
 				qualifies = e.sts(q, li, q.OxDoc.MergeTerms([]vocab.TermID{t}), ui) >= e.rsk[ui]

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/parallel"
 	"repro/internal/textrel"
 	"repro/internal/topk"
+	"repro/internal/vocab"
 )
 
 // ParallelOptions configures the parallel query engine. The zero value is
@@ -68,7 +71,7 @@ func (e *Engine) SelectParallel(q Query, method KeywordMethod, opts ParallelOpti
 	if err := e.ensurePrepared(q); err != nil {
 		return Selection{}, err
 	}
-	w := textrelCandidateSet(q)
+	w := newKeywordSet(q)
 	lcs := e.locationCandidates(q, w, true)
 
 	comboWorkers := 1
@@ -121,7 +124,17 @@ func minThreshold(rsk []float64) float64 {
 	return min
 }
 
-// textrelCandidateSet caches the candidate keyword set as a textrel set.
-func textrelCandidateSet(q Query) textrel.CandidateSet {
-	return textrel.NewCandidateSet(q.Keywords)
+// keywordSet is the candidate keyword set W in the two forms phase 2
+// reads: a membership set for the bounds and the ascending distinct terms
+// that index per-location keyword marks.
+type keywordSet struct {
+	set   textrel.CandidateSet
+	terms []vocab.TermID
+}
+
+// newKeywordSet builds q's candidate keyword set once per query.
+func newKeywordSet(q Query) keywordSet {
+	terms := slices.Clone(q.Keywords)
+	slices.Sort(terms)
+	return keywordSet{set: textrel.NewCandidateSet(q.Keywords), terms: slices.Compact(terms)}
 }

@@ -119,7 +119,7 @@ func (e *Engine) ScatterSelect(q Query, method KeywordMethod, mode ScatterMode, 
 	var out []ScatterCandidate
 	switch mode {
 	case ScatterBest, ScatterTopL:
-		w := textrelCandidateSet(q)
+		w := newKeywordSet(q)
 		all := e.locationCandidates(q, w, true)
 		lcs := all[:0:0]
 		for _, lc := range all {

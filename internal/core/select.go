@@ -38,7 +38,7 @@ func (e *Engine) selectOrdered(q Query, method KeywordMethod, bestFirst bool) (S
 	if err := e.ensurePrepared(q); err != nil {
 		return Selection{}, err
 	}
-	w := textrelCandidateSet(q)
+	w := newKeywordSet(q)
 	lcs := e.locationCandidates(q, w, bestFirst)
 
 	best := Selection{LocIndex: -1}
@@ -63,7 +63,7 @@ func (e *Engine) selectOrdered(q Query, method KeywordMethod, bestFirst bool) (S
 // per-location body shared by the sequential and parallel searches, so
 // both agree byte-for-byte. comboWorkers bounds the goroutines the exact
 // keyword scan may use (1 = sequential).
-func (e *Engine) evalLocation(q Query, method KeywordMethod, w textrel.CandidateSet, lc locCandidate, comboWorkers int) Selection {
+func (e *Engine) evalLocation(q Query, method KeywordMethod, w keywordSet, lc locCandidate, comboWorkers int) Selection {
 	// Group-level lower-bound shortcut (lines 3.11–3.13): when even the
 	// intersection text of the bare ox.d clears the group threshold, no
 	// keyword is needed. We confirm per user with the exact zero-keyword
@@ -91,19 +91,26 @@ func (e *Engine) evalLocation(q Query, method KeywordMethod, w textrel.Candidate
 // |LU_ℓ| descending, location index ascending on ties — which fixes the
 // tie-breaking the sequential and parallel searches must agree on;
 // otherwise it stays in location order (the no-best-first ablation).
-func (e *Engine) locationCandidates(q Query, w textrel.CandidateSet, sortBest bool) []locCandidate {
+func (e *Engine) locationCandidates(q Query, w keywordSet, sortBest bool) []locCandidate {
+	// The textual half of UBL(ℓ,u) does not depend on the location: bound
+	// it once per user (and for the super-user), then combine it with
+	// each location's exact spatial proximity.
+	var gs textrel.GainScratch
+	tsSuper := e.Scorer.TSAddUpperBoundInto(q.OxDoc, vocab.DocFromTerms(e.su.Uni), e.su.MinNorm, w.set, q.WS, &gs)
+	tsUB := make([]float64, len(e.Users))
+	for ui := range e.Users {
+		tsUB[ui] = e.Scorer.TSAddUpperBoundInto(q.OxDoc, e.Users[ui].Doc, e.norms[ui], w.set, q.WS, &gs)
+	}
+
 	var lcs []locCandidate
-	uniDoc := vocab.DocFromTerms(e.su.Uni)
 	for li := range q.Locations {
 		ssUB := e.Scorer.SSMax(geo.RectFromPoint(q.Locations[li]), e.su.MBR)
-		ubSuper := e.Scorer.STSAddUpperBound(ssUB, q.OxDoc, uniDoc, e.su.MinNorm, w, q.WS)
-		if ubSuper < e.rskSuper {
+		if e.Scorer.Combine(ssUB, tsSuper) < e.rskSuper {
 			continue
 		}
 		lc := locCandidate{li: li}
 		for ui := range e.Users {
-			ss := e.Scorer.SS(q.Locations[li], e.Users[ui].Loc)
-			ubl := e.Scorer.STSAddUpperBound(ss, q.OxDoc, e.Users[ui].Doc, e.norms[ui], w, q.WS)
+			ubl := e.Scorer.Combine(e.Scorer.SS(q.Locations[li], e.Users[ui].Loc), tsUB[ui])
 			if ubl >= e.rsk[ui] {
 				lc.users = append(lc.users, ui)
 			}

@@ -88,7 +88,7 @@ func (e *Engine) SelectUserIndexed(q Query, method KeywordMethod, ut *miurtree.T
 		e.rsk[i] = math.Inf(1) // unresolved: poisoned so misuse prunes
 	}
 
-	w := textrelCandidateSet(q)
+	w := newKeywordSet(q)
 	cands := tr.Candidates()
 
 	// Initial elements: the root node's entries.
@@ -255,13 +255,13 @@ func minTextOver(s *textrel.Scorer, d vocab.Doc, terms []vocab.TermID) float64 {
 
 // ublElement evaluates UBL(ℓ, element): the exact per-user upper bound for
 // users, the aggregate bound for node entries.
-func (e *Engine) ublElement(q Query, li int, el *luElement, w textrel.CandidateSet) float64 {
+func (e *Engine) ublElement(q Query, li int, el *luElement, w keywordSet) float64 {
 	if el.isUser {
 		u := &e.Users[el.ui]
 		ss := e.Scorer.SS(q.Locations[li], u.Loc)
-		return e.Scorer.STSAddUpperBound(ss, q.OxDoc, u.Doc, e.norms[el.ui], w, q.WS)
+		return e.Scorer.STSAddUpperBound(ss, q.OxDoc, u.Doc, e.norms[el.ui], w.set, q.WS)
 	}
 	ss := e.Scorer.SSMax(geo.RectFromPoint(q.Locations[li]), el.entry.Rect)
 	uniDoc := vocab.DocFromTerms(el.entry.Uni)
-	return e.Scorer.STSAddUpperBound(ss, q.OxDoc, uniDoc, el.entry.MinNorm, w, q.WS)
+	return e.Scorer.STSAddUpperBound(ss, q.OxDoc, uniDoc, el.entry.MinNorm, w.set, q.WS)
 }

@@ -101,6 +101,7 @@ func TestHotPathAnnotationsPresent(t *testing.T) {
 		"topk.TraverseWith",
 		"topk.OneUserTopKPrunedWith",
 		"core.scanUnit",
+		"core.countCombo",
 	} {
 		if !annotated[want] {
 			t.Errorf("%s lost its //maxbr:hotpath annotation", want)

@@ -31,18 +31,48 @@ func NewCandidateSet(terms []vocab.TermID) CandidateSet {
 // and terms not in c can only lose weight. Only terms in ud∩W contribute
 // gains, and at most ws of them, so the largest ws gains dominate.
 func (s *Scorer) TSAddUpperBound(oxDoc, ud vocab.Doc, norm float64, w CandidateSet, ws int) float64 {
+	var gs GainScratch
+	return s.TSAddUpperBoundInto(oxDoc, ud, norm, w, ws, &gs)
+}
+
+// GainScratch is the reusable gains buffer of TSAddUpperBoundInto. The
+// zero value is ready to use; a scratch must not be shared between
+// concurrent calls.
+type GainScratch struct {
+	gains []float64
+}
+
+// TSAddUpperBoundInto is TSAddUpperBound with caller-supplied scratch:
+// allocation-free once the scratch has grown to the widest user. The
+// gains are summed in term order when at most ws exist, and otherwise
+// the ws largest in descending order — a partial selection that yields
+// exactly the prefix a full descending sort would, so the bound is
+// bit-identical to sorting.
+//
+//maxbr:hotpath
+func (s *Scorer) TSAddUpperBoundInto(oxDoc, ud vocab.Doc, norm float64, w CandidateSet, ws int, gs *GainScratch) float64 {
 	base := 0.0
-	var gains []float64
+	gains := gs.gains[:0]
 	for _, t := range ud.Terms() {
 		base += s.Model.Weight(oxDoc, t)
 		if w[t] {
 			if g := s.Model.AddWeight(oxDoc, t); g > 0 {
+				//maxbr:ignore hotpathalloc scratch growth, amortized: gains is retained in gs and grows only for a user with more gains than any before
 				gains = append(gains, g)
 			}
 		}
 	}
+	gs.gains = gains
 	if ws < len(gains) {
-		sort.Sort(sort.Reverse(sort.Float64Slice(gains)))
+		for i := 0; i < ws; i++ {
+			top := i
+			for j := i + 1; j < len(gains); j++ {
+				if gains[j] > gains[top] {
+					top = j
+				}
+			}
+			gains[i], gains[top] = gains[top], gains[i]
+		}
 		gains = gains[:ws]
 	}
 	for _, g := range gains {
@@ -54,7 +84,7 @@ func (s *Scorer) TSAddUpperBound(oxDoc, ud vocab.Doc, norm float64, w CandidateS
 // STSAddUpperBound combines TSAddUpperBound with an exact spatial proximity
 // for a fixed candidate location — the UBL(ℓ,u) bound of Section 6.1.
 func (s *Scorer) STSAddUpperBound(ss float64, oxDoc, ud vocab.Doc, norm float64, w CandidateSet, ws int) float64 {
-	return s.Alpha*ss + (1-s.Alpha)*s.TSAddUpperBound(oxDoc, ud, norm, w, ws)
+	return s.Combine(ss, s.TSAddUpperBound(oxDoc, ud, norm, w, ws))
 }
 
 // TopWeightedCandidates returns up to ws candidate keywords from the

@@ -34,6 +34,14 @@ import (
 )
 
 // Model is one text relevance measure over a fixed object corpus.
+//
+// Contract: Weight(d, t) reads d only through d.Freq(t) and d.Len(), so
+// two documents with equal length and equal frequency of t give
+// bit-identical weights. The exact keyword scan relies on it: a user's
+// score against ox.d ∪ c is fixed by how many terms c adds to ox.d and
+// which of the user's candidate terms c contains, which lets it memoize
+// one exact score per such class (see core.countCombo). Every built-in
+// measure honours the contract; TestWeightReadsOnlyFreqAndLen pins it.
 type Model interface {
 	// Name identifies the measure ("LM", "TFIDF", or "KO").
 	Name() string

@@ -100,7 +100,22 @@ func (s *Scorer) TS(od, ud vocab.Doc, norm float64) float64 {
 // document oDoc against a user at uLoc with document uDoc and normalizer
 // norm.
 func (s *Scorer) STS(oLoc geo.Point, oDoc vocab.Doc, uLoc geo.Point, uDoc vocab.Doc, norm float64) float64 {
-	return s.Alpha*s.SS(oLoc, uLoc) + (1-s.Alpha)*s.TS(oDoc, uDoc, norm)
+	return s.STSFromSS(s.SS(oLoc, uLoc), oDoc, uDoc, norm)
+}
+
+// STSFromSS is STS with the spatial proximity ss = SS(oLoc, uLoc) already
+// computed, for callers that score many documents at one (location, user)
+// pair. STS itself goes through it, so the two are bit-identical.
+func (s *Scorer) STSFromSS(ss float64, oDoc, uDoc vocab.Doc, norm float64) float64 {
+	return s.Combine(ss, s.TS(oDoc, uDoc, norm))
+}
+
+// Combine is Equation 1's weighting α·ss + (1−α)·ts of a spatial and a
+// textual part, for scores and bounds alike. STS and STSAddUpperBound go
+// through it, so a caller that computes one part once and combines it
+// with many others gets their results bit for bit.
+func (s *Scorer) Combine(ss, ts float64) float64 {
+	return s.Alpha*ss + (1-s.Alpha)*ts
 }
 
 // ScoreUser is STS against a dataset.User with a precomputed normalizer.
