@@ -21,7 +21,7 @@ LINT_EXTERNAL ?= auto
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build vet test race bench bench-smoke cli-smoke serve-smoke ingest-smoke shard-smoke fuzz-smoke lint lint-maxbr lint-fix lint-external ci
+.PHONY: all build vet test race bench bench-smoke cli-smoke serve-smoke ingest-smoke shard-smoke perfbench-check fuzz-smoke lint lint-maxbr lint-fix lint-external ci
 
 all: ci
 
@@ -178,6 +178,14 @@ shard-smoke:
 	echo "shard-smoke: coordinator answers byte-identical to the single index on every endpoint"
 	rm -rf $(SHARDDIR)
 
+# Benchmark-module check: perfbench/ is a nested module (its own go.mod,
+# replacing repro with ../), so `go build ./...` at the root never
+# compiles it. Vet and test it here so an engine change that breaks a
+# name the benchmark uses fails before the benchmark pipeline does.
+# Offline-safe; about 35 s.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 lint: lint-maxbr lint-external
 
 # The nine project-specific analyzers (snapshotonce, immutablealias,
@@ -217,4 +225,4 @@ fuzz-smoke:
 	$(GO) test ./internal/invfile/ -run '^$$' -fuzz '^FuzzDecodeSumsInto$$' -fuzztime 10s
 	$(GO) test ./internal/persist/ -run '^$$' -fuzz '^FuzzDecodeMaster$$' -fuzztime 10s
 
-ci: build vet lint race bench bench-smoke cli-smoke serve-smoke ingest-smoke shard-smoke fuzz-smoke
+ci: build vet lint race bench bench-smoke cli-smoke serve-smoke ingest-smoke shard-smoke perfbench-check fuzz-smoke

@@ -92,7 +92,7 @@ func BenchmarkFig05_TopKJoint(b *testing.B) {
 	w := benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(w.MIR, w.Scorer, w.US.Users, w.Cfg.K); err != nil {
+		if _, err := topk.JointTopK(w.MIR, w.Scorer, w.US.Users, w.Cfg.K, 1, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func BenchmarkFig05_SelectionExact(b *testing.B) {
 	q := w.Query()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Select(q, core.KeywordsExact); err != nil {
+		if _, err := e.Select(q, core.KeywordsExact, core.ParallelOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -120,7 +120,7 @@ func BenchmarkFig05_SelectionApprox(b *testing.B) {
 	q := w.Query()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Select(q, core.KeywordsApprox); err != nil {
+		if _, err := e.Select(q, core.KeywordsApprox, core.ParallelOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func BenchmarkFig06_HighAlphaJoint(b *testing.B) {
 	w9 := experiments.NewWorkload(cfg, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(w9.MIR, w9.Scorer, w9.US.Users, cfg.K); err != nil {
+		if _, err := topk.JointTopK(w9.MIR, w9.Scorer, w9.US.Users, cfg.K, 1, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -164,7 +164,7 @@ func BenchmarkFig07_ManyKeywordsPerUser(b *testing.B) {
 	w6 := experiments.NewWorkload(cfg, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(w6.MIR, w6.Scorer, w6.US.Users, cfg.K); err != nil {
+		if _, err := topk.JointTopK(w6.MIR, w6.Scorer, w6.US.Users, cfg.K, 1, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,7 +181,7 @@ func BenchmarkFig08_WideKeywordPool(b *testing.B) {
 	q := w40.Query()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Select(q, core.KeywordsApprox); err != nil {
+		if _, err := e.Select(q, core.KeywordsApprox, core.ParallelOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -196,7 +196,7 @@ func BenchmarkFig09_SparseUsers(b *testing.B) {
 	ws := experiments.NewWorkload(cfg, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(ws.MIR, ws.Scorer, ws.US.Users, cfg.K); err != nil {
+		if _, err := topk.JointTopK(ws.MIR, ws.Scorer, ws.US.Users, cfg.K, 1, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func BenchmarkFig10_ManyLocations(b *testing.B) {
 	q := wl.Query()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Select(q, core.KeywordsApprox); err != nil {
+		if _, err := e.Select(q, core.KeywordsApprox, core.ParallelOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -230,7 +230,7 @@ func BenchmarkFig11_LargeWS(b *testing.B) {
 	q := ww.Query()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Select(q, core.KeywordsExact); err != nil {
+		if _, err := e.Select(q, core.KeywordsExact, core.ParallelOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -245,7 +245,7 @@ func BenchmarkFig12_ManyUsers(b *testing.B) {
 	wu := experiments.NewWorkload(cfg, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(wu.MIR, wu.Scorer, wu.US.Users, cfg.K); err != nil {
+		if _, err := topk.JointTopK(wu.MIR, wu.Scorer, wu.US.Users, cfg.K, 1, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -260,7 +260,7 @@ func BenchmarkFig13_LargerObjectSet(b *testing.B) {
 	wo := experiments.NewWorkload(cfg, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(wo.MIR, wo.Scorer, wo.US.Users, cfg.K); err != nil {
+		if _, err := topk.JointTopK(wo.MIR, wo.Scorer, wo.US.Users, cfg.K, 1, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -272,7 +272,7 @@ func BenchmarkFig14_YelpJoint(b *testing.B) {
 	benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.JointTopK(benchYelp.MIR, benchYelp.Scorer, benchYelp.US.Users, benchYelp.Cfg.K); err != nil {
+		if _, err := topk.JointTopK(benchYelp.MIR, benchYelp.Scorer, benchYelp.US.Users, benchYelp.Cfg.K, 1, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -295,13 +295,13 @@ func BenchmarkFig15_UserIndexed(b *testing.B) {
 
 // BenchmarkAblationNoMinWeights runs the joint traversal against the plain
 // IR-tree (no stored minimum weights), isolating the MIR-tree's lower
-// bounds (DESIGN.md §6).
+// bounds (README, "Design notes").
 func BenchmarkAblationNoMinWeights(b *testing.B) {
 	w := benchWorkload(b)
 	su := topk.BuildSuperUser(w.US.Users, w.Scorer)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := topk.Traverse(w.IR, w.Scorer, su, w.Cfg.K); err != nil {
+		if _, err := topk.TraverseWith(w.IR, w.Scorer, su, w.Cfg.K, &topk.TraverseScratch{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -333,16 +333,15 @@ func BenchmarkAblationNoBestFirst(b *testing.B) {
 	}
 }
 
-// benchPrepareJointParallel measures phase 1 (threshold preparation) on
-// the parallel engine at a given worker count; Groups defaults to one
-// spatial group per worker.
-func benchPrepareJointParallel(b *testing.B, workers int) {
+// benchPrepareJoint measures phase 1 (threshold preparation) at a given
+// worker count; Groups defaults to one spatial group per worker.
+func benchPrepareJoint(b *testing.B, workers int) {
 	w := benchWorkload(b)
 	e := core.NewEngine(w.MIR, w.Scorer, w.US.Users)
 	opts := core.ParallelOptions{Workers: workers}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.PrepareJointParallel(w.Cfg.K, opts); err != nil {
+		if err := e.PrepareJoint(w.Cfg.K, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -353,21 +352,21 @@ func benchPrepareJointParallel(b *testing.B, workers int) {
 // W4). On a single-core machine the speedup comes from the tighter
 // per-group super-user bounds alone; on multicore the group traversals
 // and per-user refinements additionally run concurrently.
-func BenchmarkScaling_PrepareJointW1(b *testing.B) { benchPrepareJointParallel(b, 1) }
-func BenchmarkScaling_PrepareJointW2(b *testing.B) { benchPrepareJointParallel(b, 2) }
-func BenchmarkScaling_PrepareJointW4(b *testing.B) { benchPrepareJointParallel(b, 4) }
-func BenchmarkScaling_PrepareJointW8(b *testing.B) { benchPrepareJointParallel(b, 8) }
+func BenchmarkScaling_PrepareJointW1(b *testing.B) { benchPrepareJoint(b, 1) }
+func BenchmarkScaling_PrepareJointW2(b *testing.B) { benchPrepareJoint(b, 2) }
+func BenchmarkScaling_PrepareJointW4(b *testing.B) { benchPrepareJoint(b, 4) }
+func BenchmarkScaling_PrepareJointW8(b *testing.B) { benchPrepareJoint(b, 8) }
 
-// benchSelectParallel measures phase 2 (exact candidate selection) on the
-// parallel engine at a given worker count.
-func benchSelectParallel(b *testing.B, workers int) {
+// benchSelect measures phase 2 (exact candidate selection) at a given
+// worker count.
+func benchSelect(b *testing.B, workers int) {
 	w := benchWorkload(b)
 	e := preparedEngine(b, w)
 	q := w.Query()
 	opts := core.ParallelOptions{Workers: workers}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.SelectParallel(q, core.KeywordsExact, opts); err != nil {
+		if _, err := e.Select(q, core.KeywordsExact, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -376,8 +375,8 @@ func benchSelectParallel(b *testing.B, workers int) {
 // BenchmarkScaling_SelectExactW* is the phase-2 half of the scaling
 // figure: candidate locations and keyword-combination chunks fan out over
 // the worker pool.
-func BenchmarkScaling_SelectExactW1(b *testing.B) { benchSelectParallel(b, 1) }
-func BenchmarkScaling_SelectExactW4(b *testing.B) { benchSelectParallel(b, 4) }
+func BenchmarkScaling_SelectExactW1(b *testing.B) { benchSelect(b, 1) }
+func BenchmarkScaling_SelectExactW4(b *testing.B) { benchSelect(b, 4) }
 
 // BenchmarkIndexBuild measures MIR-tree construction (index build cost,
 // discussed in the paper's Section 5.1 cost analysis).

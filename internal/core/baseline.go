@@ -17,30 +17,44 @@ func (e *Engine) Baseline(q Query) (Selection, error) {
 	if err := e.ensurePrepared(q); err != nil {
 		return Selection{}, err
 	}
-	best := Selection{LocIndex: -1}
-	all := e.allUserIndexes()
-
-	for li := range q.Locations {
-		container.Combinations(q.Keywords, q.WS, func(combo []vocab.TermID) bool {
-			add := append([]vocab.TermID(nil), combo...)
-			doc := q.OxDoc.MergeTerms(add)
-			var users []int32
-			for _, ui := range all {
-				if e.isBRSTkNN(q, li, doc, ui) {
-					users = append(users, e.Users[ui].ID)
-				}
-			}
-			if len(users) > best.Count() {
-				best = Selection{
-					LocIndex: li,
-					Location: q.Locations[li],
-					Keywords: add,
-					Users:    users,
-				}
-			}
-			return true
-		})
+	lis := make([]int, len(q.Locations))
+	for li := range lis {
+		lis[li] = li
 	}
-	best.normalize()
-	return best, nil
+	// Folding each location's first-max in location order is the flat
+	// location × combination scan's first-max.
+	return firstMax(e.evalExhaustive(q, lis, 1)), nil
+}
+
+// evalExhaustive runs the location loop over the locations lis with the
+// exhaustive per-location body, against every user and skipping nothing.
+func (e *Engine) evalExhaustive(q Query, lis []int, workers int) []ScatterCandidate {
+	all := e.allUserIndexes()
+	lcs := make([]locCandidate, len(lis))
+	for i, li := range lis {
+		lcs[i] = locCandidate{li: li, users: all}
+	}
+	return e.evalLocations(lcs, workers, 0, false, func(lc locCandidate, _ int) Selection {
+		return e.exhaustiveLocationBest(q, lc.li, lc.users)
+	})
+}
+
+// exhaustiveLocationBest is Baseline's inner loop for one location: the
+// first combination (in enumeration order) achieving the location's
+// maximum verified user count.
+func (e *Engine) exhaustiveLocationBest(q Query, li int, users []int) Selection {
+	best := Selection{LocIndex: -1}
+	container.Combinations(q.Keywords, q.WS, func(combo []vocab.TermID) bool {
+		add := append([]vocab.TermID(nil), combo...)
+		if ids := e.countBRSTkNN(q, li, add, users); len(ids) > best.Count() {
+			best = Selection{
+				LocIndex: li,
+				Location: q.Locations[li],
+				Keywords: add,
+				Users:    ids,
+			}
+		}
+		return true
+	})
+	return best
 }

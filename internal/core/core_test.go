@@ -77,6 +77,21 @@ func bruteForceBestCount(t *testing.T, f *fixture, q Query) int {
 	return best
 }
 
+// prepareBaseline prepares e with the thresholds of independent per-user
+// IR-tree searches (Section 4), the oracle for PrepareJoint's.
+func prepareBaseline(t testing.TB, e *Engine, k int) {
+	t.Helper()
+	per, err := topk.BaselineTopK(e.Tree, e.Scorer, e.Users, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsk := make([]float64, len(per))
+	for i, p := range per {
+		rsk[i] = p.RSk
+	}
+	e.SetPrepared(k, rsk, minThreshold(rsk))
+}
+
 func TestQueryValidate(t *testing.T) {
 	kw := []vocab.TermID{1, 2}
 	loc := []geo.Point{{X: 1, Y: 1}}
@@ -104,31 +119,29 @@ func TestQueryValidate(t *testing.T) {
 func TestEngineRequiresPreparation(t *testing.T) {
 	f := newFixture(t, textrel.KO, 0.5, 300, 20, 3, 100)
 	q := f.query(2, 5)
-	if _, err := f.engine.Select(q, KeywordsExact); err == nil {
+	if _, err := f.engine.Select(q, KeywordsExact, ParallelOptions{}); err == nil {
 		t.Error("unprepared engine should refuse")
 	}
-	if err := f.engine.PrepareJoint(5); err != nil {
+	if err := f.engine.PrepareJoint(5, ParallelOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.engine.Select(q, KeywordsExact); err != nil {
+	if _, err := f.engine.Select(q, KeywordsExact, ParallelOptions{}); err != nil {
 		t.Errorf("prepared engine failed: %v", err)
 	}
 	// changing k invalidates the preparation
 	q.K = 7
-	if _, err := f.engine.Select(q, KeywordsExact); err == nil {
+	if _, err := f.engine.Select(q, KeywordsExact, ParallelOptions{}); err == nil {
 		t.Error("k mismatch should refuse")
 	}
 }
 
 func TestPrepareJointAndBaselineAgree(t *testing.T) {
 	f := newFixture(t, textrel.LM, 0.5, 500, 30, 5, 200)
-	if err := f.engine.PrepareJoint(5); err != nil {
+	if err := f.engine.PrepareJoint(5, ParallelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	joint := append([]float64(nil), f.engine.RSk()...)
-	if err := f.engine.PrepareBaseline(5); err != nil {
-		t.Fatal(err)
-	}
+	prepareBaseline(t, f.engine, 5)
 	base := f.engine.RSk()
 	for i := range joint {
 		if math.Abs(joint[i]-base[i]) > 1e-9 {
@@ -148,10 +161,10 @@ func TestExactMatchesBruteForce(t *testing.T) {
 			if len(q.Keywords) > 8 {
 				q.Keywords = q.Keywords[:8]
 			}
-			if err := f.engine.PrepareJoint(q.K); err != nil {
+			if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			got, err := f.engine.Select(q, KeywordsExact)
+			got, err := f.engine.Select(q, KeywordsExact, ParallelOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,10 +185,10 @@ func TestBaselineVsExact(t *testing.T) {
 		if len(q.Keywords) > 8 {
 			q.Keywords = q.Keywords[:8]
 		}
-		if err := f.engine.PrepareJoint(q.K); err != nil {
+		if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		exact, err := f.engine.Select(q, KeywordsExact)
+		exact, err := f.engine.Select(q, KeywordsExact, ParallelOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,14 +211,14 @@ func TestApproxNeverBeatsExactAndIsReasonable(t *testing.T) {
 	for seed := int64(500); seed < 510; seed++ {
 		f := newFixture(t, textrel.LM, 0.5, 400, 40, 5, seed)
 		q := f.query(3, 5)
-		if err := f.engine.PrepareJoint(q.K); err != nil {
+		if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		exact, err := f.engine.Select(q, KeywordsExact)
+		exact, err := f.engine.Select(q, KeywordsExact, ParallelOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		approx, err := f.engine.Select(q, KeywordsApprox)
+		approx, err := f.engine.Select(q, KeywordsApprox, ParallelOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,10 +244,10 @@ func TestApproxNeverBeatsExactAndIsReasonable(t *testing.T) {
 func TestSelectionShape(t *testing.T) {
 	f := newFixture(t, textrel.KO, 0.5, 300, 30, 5, 600)
 	q := f.query(2, 5)
-	if err := f.engine.PrepareJoint(q.K); err != nil {
+	if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	sel, err := f.engine.Select(q, KeywordsExact)
+	sel, err := f.engine.Select(q, KeywordsExact, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,10 +283,10 @@ func TestPureKeywordSelection(t *testing.T) {
 	if len(q.Keywords) > 8 {
 		q.Keywords = q.Keywords[:8]
 	}
-	if err := f.engine.PrepareJoint(q.K); err != nil {
+	if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.engine.Select(q, KeywordsExact)
+	got, err := f.engine.Select(q, KeywordsExact, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,10 +299,10 @@ func TestPureKeywordSelection(t *testing.T) {
 func TestWSZeroSelectsLocationOnly(t *testing.T) {
 	f := newFixture(t, textrel.LM, 0.5, 300, 25, 5, 800)
 	q := f.query(0, 5)
-	if err := f.engine.PrepareJoint(q.K); err != nil {
+	if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	sel, err := f.engine.Select(q, KeywordsExact)
+	sel, err := f.engine.Select(q, KeywordsExact, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,10 +323,10 @@ func TestExistingOxDoc(t *testing.T) {
 	}
 	// give ox an existing description containing one pooled keyword
 	q.OxDoc = vocab.DocFromTerms(f.us.Keywords[:1])
-	if err := f.engine.PrepareJoint(q.K); err != nil {
+	if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.engine.Select(q, KeywordsExact)
+	got, err := f.engine.Select(q, KeywordsExact, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,34 +39,30 @@ func NewEngine(tree *irtree.Tree, scorer *textrel.Scorer, users []dataset.User) 
 }
 
 // PrepareJoint runs the joint top-k processing of Section 5 (Algorithms 1
-// and 2) to obtain RSk(u) for every user with shared I/O. It is the
-// sequential special case of PrepareJointParallel.
-func (e *Engine) PrepareJoint(k int) error {
-	return e.PrepareJointParallel(k, ParallelOptions{})
-}
-
-// PrepareBaseline computes RSk(u) per user with independent IR-tree
-// searches (Section 4), accumulating the duplicated I/O the joint method
-// avoids.
-func (e *Engine) PrepareBaseline(k int) error {
-	res, err := topk.BaselineTopK(e.Tree, e.Scorer, e.Users, k)
+// and 2) to obtain RSk(u) for every user with shared I/O. Phase 1
+// partitions the users into opts.Groups spatial groups and runs the group
+// traversals and per-user refinements on up to opts.Workers goroutines;
+// the zero value is the paper's sequential pipeline, and the prepared
+// thresholds are identical for every choice.
+func (e *Engine) PrepareJoint(k int, opts ParallelOptions) error {
+	opts = opts.Normalize()
+	res, err := topk.JointTopK(e.Tree, e.Scorer, e.Users, k, opts.Workers, opts.Groups, nil)
 	if err != nil {
 		return err
 	}
-	e.rsk = make([]float64, len(e.Users))
-	for i, p := range res {
-		e.rsk[i] = p.RSk
+	rsk := make([]float64, len(e.Users))
+	for i, p := range res.PerUser {
+		rsk[i] = p.RSk
 	}
-	e.rskSuper = minThreshold(e.rsk)
-	e.preparedK = k
+	e.SetPrepared(k, rsk, minThreshold(rsk))
 	return nil
 }
 
 // RSk returns the prepared per-user thresholds (for tests and §7 reuse).
 func (e *Engine) RSk() []float64 { return e.rsk }
 
-// SetPrepared installs externally computed thresholds (the user-indexed
-// variant of Section 7 produces them incrementally).
+// SetPrepared installs externally computed thresholds: a coordinator's
+// merged global thresholds, or a test's per-user IR-tree searches.
 func (e *Engine) SetPrepared(k int, rsk []float64, rskSuper float64) {
 	e.preparedK, e.rsk, e.rskSuper = k, rsk, rskSuper
 }
@@ -76,7 +72,7 @@ func (e *Engine) ensurePrepared(q Query) error {
 		return err
 	}
 	if e.rsk == nil || e.preparedK != q.K {
-		return fmt.Errorf("core: engine not prepared for k=%d (call PrepareJoint or PrepareBaseline)", q.K)
+		return fmt.Errorf("core: engine not prepared for k=%d (call PrepareJoint or SetPrepared)", q.K)
 	}
 	return nil
 }

@@ -32,13 +32,7 @@ func (e *Engine) SelectTopL(q Query, method KeywordMethod, l int) ([]Selection, 
 		if best.Full() && float64(len(lc.users)) < best.Threshold() {
 			break
 		}
-		var sel Selection
-		if method == KeywordsApprox {
-			sel = e.selectKeywordsGreedy(q, lc, w)
-		} else {
-			sel = e.selectKeywordsExact(q, lc, w, 1)
-		}
-		if sel.Count() > 0 {
+		if sel := e.selectKeywords(q, method, lc, w, 1); sel.Count() > 0 {
 			best.Offer(sel, float64(sel.Count()))
 		}
 	}
@@ -82,7 +76,7 @@ func (e *Engine) SelectMultiple(q Query, method KeywordMethod, m int) ([]Selecti
 
 	var out []Selection
 	for round := 0; round < m; round++ {
-		sel, err := e.Select(q, method)
+		sel, err := e.Select(q, method, ParallelOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,7 @@ import (
 func TestSelectTopLRankedAndConsistent(t *testing.T) {
 	f := newFixture(t, textrel.LM, 0.5, 400, 50, 8, 1100)
 	q := f.query(2, 5)
-	if err := f.engine.PrepareJoint(q.K); err != nil {
+	if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	top3, err := f.engine.SelectTopL(q, KeywordsExact, 3)
@@ -31,7 +31,7 @@ func TestSelectTopLRankedAndConsistent(t *testing.T) {
 		seen[s.LocIndex] = true
 	}
 	// the shortlist head must equal the single-selection winner's count
-	single, err := f.engine.Select(q, KeywordsExact)
+	single, err := f.engine.Select(q, KeywordsExact, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSelectTopLRankedAndConsistent(t *testing.T) {
 func TestSelectTopLCoversAllLocationsWhenLLarge(t *testing.T) {
 	f := newFixture(t, textrel.KO, 0.5, 300, 30, 5, 1200)
 	q := f.query(2, 5)
-	if err := f.engine.PrepareJoint(q.K); err != nil {
+	if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	all, err := f.engine.SelectTopL(q, KeywordsApprox, 100)
@@ -58,7 +58,7 @@ func TestSelectTopLCoversAllLocationsWhenLLarge(t *testing.T) {
 func TestSelectTopLValidation(t *testing.T) {
 	f := newFixture(t, textrel.KO, 0.5, 200, 20, 3, 1300)
 	q := f.query(2, 5)
-	if err := f.engine.PrepareJoint(q.K); err != nil {
+	if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.engine.SelectTopL(q, KeywordsExact, 0); err == nil {
@@ -69,10 +69,10 @@ func TestSelectTopLValidation(t *testing.T) {
 func TestSelectMultipleCoversMoreDistinctUsers(t *testing.T) {
 	f := newFixture(t, textrel.LM, 0.5, 500, 60, 8, 1400)
 	q := f.query(2, 5)
-	if err := f.engine.PrepareJoint(q.K); err != nil {
+	if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	single, err := f.engine.Select(q, KeywordsApprox)
+	single, err := f.engine.Select(q, KeywordsApprox, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSelectMultipleCoversMoreDistinctUsers(t *testing.T) {
 		t.Fatalf("round 1 count %d != single %d", multi[0].Count(), single.Count())
 	}
 	// thresholds restored afterwards: a repeat single run agrees
-	again, err := f.engine.Select(q, KeywordsApprox)
+	again, err := f.engine.Select(q, KeywordsApprox, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSelectMultipleCoversMoreDistinctUsers(t *testing.T) {
 func TestSelectMultipleStopsWhenExhausted(t *testing.T) {
 	f := newFixture(t, textrel.KO, 0.5, 300, 10, 3, 1500)
 	q := f.query(1, 5)
-	if err := f.engine.PrepareJoint(q.K); err != nil {
+	if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// far more rounds than users: must stop early without error
@@ -137,10 +137,10 @@ func TestSelectNoBestFirstSameAnswer(t *testing.T) {
 	for seed := int64(1600); seed < 1604; seed++ {
 		f := newFixture(t, textrel.LM, 0.5, 300, 30, 6, seed)
 		q := f.query(2, 5)
-		if err := f.engine.PrepareJoint(q.K); err != nil {
+		if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		a, err := f.engine.Select(q, KeywordsExact)
+		a, err := f.engine.Select(q, KeywordsExact, ParallelOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func kernelFixture(t *testing.T, c kernelCase) (*Engine, Query) {
 	tree := irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.MIRTree, Fanout: 16})
 	e := NewEngine(tree, scorer, us.Users)
 	q := Query{Locations: locs, Keywords: us.Keywords, WS: c.ws, K: 3}
-	if err := e.PrepareJoint(q.K); err != nil {
+	if err := e.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	outside := vocab.TermID(0)
@@ -154,7 +154,8 @@ func oracleExact(e *Engine, q Query, lc locCandidate, w keywordSet) Selection {
 // TestSelectKeywordsExactMatchesOracle checks the whole kernel-driven
 // scan — lazy user materialization, the achievable-max exit and the
 // parallel unit reduction — against the unpruned per-combination oracle,
-// per location and for Workers 1/2/4, and SelectParallel against Select.
+// per location and for Workers 1/2/4, and Select at Workers 1/2/4
+// against the unpruned best-first location scan.
 func TestSelectKeywordsExactMatchesOracle(t *testing.T) {
 	for _, c := range kernelCases() {
 		t.Run(c.String(), func(t *testing.T) {
@@ -168,17 +169,14 @@ func TestSelectKeywordsExactMatchesOracle(t *testing.T) {
 					}
 				}
 			}
-			seq, err := e.Select(q, KeywordsExact)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := unprunedSelect(e, q, KeywordsExact)
 			for _, workers := range []int{1, 2, 4} {
-				got, err := e.SelectParallel(q, KeywordsExact, ParallelOptions{Workers: workers})
+				got, err := e.Select(q, KeywordsExact, ParallelOptions{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, seq) {
-					t.Fatalf("SelectParallel workers %d = %+v, Select = %+v", workers, got, seq)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("Select workers %d = %+v, unpruned scan = %+v", workers, got, want)
 				}
 			}
 		})

@@ -1,17 +1,37 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/textrel"
 )
 
-// TestParallelEquivalence is the engine half of the determinism guarantee
-// (ISSUE 1 acceptance): PrepareJointParallel and SelectParallel must
-// produce results identical to the sequential pipeline for every
-// Workers × Groups × method combination, on several seeded datasets and
-// relevance models.
+// unprunedSelect is Algorithm 3 with none of the driver's pruning: every
+// candidate location is evaluated, sequentially, in the canonical
+// best-first order (|LU_ℓ| descending, location index ascending), and the
+// first maximum wins. It is the oracle for Select's skip rule and worker
+// fan-out; the per-location body it shares is pinned separately against
+// the unpruned combination oracle (TestSelectKeywordsExactMatchesOracle).
+func unprunedSelect(e *Engine, q Query, method KeywordMethod) Selection {
+	w := newKeywordSet(q)
+	best := Selection{LocIndex: -1}
+	for _, lc := range e.locationCandidates(q, w, true) {
+		if sel := e.evalLocation(q, method, w, lc, 1); sel.Count() > best.Count() {
+			best = sel
+		}
+	}
+	best.normalize()
+	return best
+}
+
+// TestParallelEquivalence is the engine half of the determinism
+// guarantee: PrepareJoint must agree with independent per-user IR-tree
+// searches and reproduce its sequential thresholds exactly, and Select
+// must return exactly the unpruned best-first scan's answer (whose exact
+// count matches brute force), for every Workers × Groups × method
+// combination, on several seeded datasets and relevance models.
 func TestParallelEquivalence(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -28,44 +48,52 @@ func TestParallelEquivalence(t *testing.T) {
 			f := newFixture(t, tc.measure, tc.alpha, 400, 80, 8, tc.seed)
 			q := f.query(2, 5)
 
-			seq := NewEngine(f.tree, f.scorer, f.us.Users)
-			if err := seq.PrepareJoint(q.K); err != nil {
+			// Phase 1's oracle: independent per-user IR-tree searches. They
+			// sum scores in another order, so they agree to within 1e-9, and
+			// the sequential configuration is then the byte-level reference
+			// every other configuration must match exactly.
+			base := NewEngine(f.tree, f.scorer, f.us.Users)
+			prepareBaseline(t, base, q.K)
+			oracle := NewEngine(f.tree, f.scorer, f.us.Users)
+			if err := oracle.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			seqExact, err := seq.Select(q, KeywordsExact)
-			if err != nil {
-				t.Fatal(err)
+			for i, want := range base.RSk() {
+				if got := oracle.RSk()[i]; math.Abs(got-want) > 1e-9 {
+					t.Fatalf("user %d: joint RSk %v, IR-tree search %v", i, got, want)
+				}
 			}
-			seqApprox, err := seq.Select(q, KeywordsApprox)
-			if err != nil {
-				t.Fatal(err)
+			wantExact := unprunedSelect(oracle, q, KeywordsExact)
+			wantApprox := unprunedSelect(oracle, q, KeywordsApprox)
+			if got := bruteForceBestCount(t, f, q); wantExact.Count() != got {
+				t.Fatalf("unpruned exact count %d, brute force %d", wantExact.Count(), got)
 			}
 
-			for _, workers := range []int{1, 2, 8} {
-				for _, groups := range []int{1, 4} {
+			for _, workers := range []int{1, 2, 4, 8} {
+				for _, groups := range []int{1, 3, 4, 8} {
 					opts := ParallelOptions{Workers: workers, Groups: groups}
 					par := NewEngine(f.tree, f.scorer, f.us.Users)
-					if err := par.PrepareJointParallel(q.K, opts); err != nil {
+					if err := par.PrepareJoint(q.K, opts); err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(par.RSk(), seq.RSk()) {
-						t.Fatalf("workers=%d groups=%d: prepared thresholds differ", workers, groups)
+					if !reflect.DeepEqual(par.RSk(), oracle.RSk()) {
+						t.Fatalf("workers=%d groups=%d: prepared thresholds differ from the sequential ones", workers, groups)
 					}
 
-					gotExact, err := par.SelectParallel(q, KeywordsExact, opts)
+					gotExact, err := par.Select(q, KeywordsExact, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(gotExact, seqExact) {
-						t.Fatalf("workers=%d groups=%d exact: got %+v, want %+v", workers, groups, gotExact, seqExact)
+					if !reflect.DeepEqual(gotExact, wantExact) {
+						t.Fatalf("workers=%d groups=%d exact: got %+v, want %+v", workers, groups, gotExact, wantExact)
 					}
 
-					gotApprox, err := par.SelectParallel(q, KeywordsApprox, opts)
+					gotApprox, err := par.Select(q, KeywordsApprox, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(gotApprox, seqApprox) {
-						t.Fatalf("workers=%d groups=%d approx: got %+v, want %+v", workers, groups, gotApprox, seqApprox)
+					if !reflect.DeepEqual(gotApprox, wantApprox) {
+						t.Fatalf("workers=%d groups=%d approx: got %+v, want %+v", workers, groups, gotApprox, wantApprox)
 					}
 				}
 			}
@@ -82,10 +110,10 @@ func TestParallelSelectMatchesBruteForceCount(t *testing.T) {
 
 	e := NewEngine(f.tree, f.scorer, f.us.Users)
 	opts := ParallelOptions{Workers: 4, Groups: 4}
-	if err := e.PrepareJointParallel(q.K, opts); err != nil {
+	if err := e.PrepareJoint(q.K, opts); err != nil {
 		t.Fatal(err)
 	}
-	sel, err := e.SelectParallel(q, KeywordsExact, opts)
+	sel, err := e.Select(q, KeywordsExact, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

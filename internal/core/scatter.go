@@ -3,10 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/container"
-	"repro/internal/parallel"
-	"repro/internal/vocab"
 )
 
 // ScatterMode selects which single-index selection loop a shard's partial
@@ -58,7 +54,8 @@ type ScatterStats struct {
 	// Evaluated counts keyword selections actually computed.
 	Evaluated int
 	// SkippedFloor counts candidates skipped because |LU_ℓ| was below the
-	// forwarded floor (ScatterBest only).
+	// forwarded floor or a count this shard already achieved (ScatterBest
+	// only).
 	SkippedFloor int
 }
 
@@ -84,25 +81,32 @@ func (e *Engine) WithThresholds(k int, rsk []float64) (*Engine, error) {
 
 // ScatterSelect evaluates this engine's share of a scatter-gathered
 // selection: the candidate locations whose index appears in assigned,
-// under the already-prepared per-user thresholds. It returns every
-// evaluated candidate whose count is positive and at least floor, each
-// normalized, in ascending location order. The coordinator replays the
-// single-index scan over the union of shard candidates; exactness rests
-// on three facts. (1) Every per-location evaluation here is the
-// single-index body for the mode, and its result does not depend on any
-// incumbent. (2) A candidate below the floor cannot change any replayed
-// scan: for ScatterBest the floor is a count some other candidate already
-// achieved, and the scan advances only on strictly greater counts.
-// (3) For ScatterTopL the bounded heap's eviction among equal counts
-// depends on the full offer sequence, so the floor is ignored and every
-// positive-count candidate is returned — the replayed offer sequence is
-// then identical to the single-index one. ScatterExhaustive returns each
-// assigned location's first-in-combination-order best, which the
-// coordinator folds in ascending location order — the same first-max the
-// flat location × combination scan produces.
+// under the already-prepared per-user thresholds. It runs the location
+// loop of the single-index driver for the mode over the assigned subset
+// and returns every evaluated candidate whose count is positive (and, in
+// ScatterBest mode, at least floor), each normalized, in ascending
+// location order. The coordinator replays the single-index scan over the
+// union of shard candidates; exactness rests on three facts.
 //
-// workers bounds the goroutines used to evaluate locations concurrently
-// (results are worker-count independent; see SelectParallel).
+//  1. Every per-location evaluation here is the single-index body for the
+//     mode, and its result does not depend on any incumbent.
+//  2. In ScatterBest mode a candidate is skipped when |LU_ℓ| is below the
+//     forwarded floor — a count some other shard already achieved — or
+//     below a count this shard already achieved. Its count is then below
+//     the replayed scan's maximum, and the scan advances only on strictly
+//     greater counts, so no skipped candidate can be its first maximum.
+//  3. For ScatterTopL the bounded heap's eviction among equal counts
+//     depends on the full offer sequence, so nothing is skipped and every
+//     positive-count candidate is returned — the replayed offer sequence
+//     is then identical to the single-index one.
+//
+// ScatterExhaustive returns each assigned location's
+// first-in-combination-order best, which the coordinator folds in
+// ascending location order — the same first-max the flat location ×
+// combination scan produces.
+//
+// workers bounds the goroutines used to evaluate locations concurrently;
+// answers are worker-count independent.
 func (e *Engine) ScatterSelect(q Query, method KeywordMethod, mode ScatterMode, assigned []int, floor int, workers int) ([]ScatterCandidate, ScatterStats, error) {
 	var stats ScatterStats
 	if err := e.ensurePrepared(q); err != nil {
@@ -116,98 +120,52 @@ func (e *Engine) ScatterSelect(q Query, method KeywordMethod, mode ScatterMode, 
 		inAssigned[li] = true
 	}
 
-	var out []ScatterCandidate
+	if mode != ScatterBest {
+		floor = 0 // only the single-best replay tolerates skipped candidates
+	}
+	var cands []ScatterCandidate
 	switch mode {
 	case ScatterBest, ScatterTopL:
 		w := newKeywordSet(q)
-		all := e.locationCandidates(q, w, true)
-		lcs := all[:0:0]
-		for _, lc := range all {
-			if !inAssigned[lc.li] {
-				continue
+		var lcs []locCandidate
+		for _, lc := range e.locationCandidates(q, w, true) {
+			if inAssigned[lc.li] {
+				lcs = append(lcs, lc)
 			}
-			stats.Assigned++
-			if mode == ScatterBest && len(lc.users) < floor {
-				stats.SkippedFloor++
-				continue
-			}
-			lcs = append(lcs, lc)
 		}
-		stats.Evaluated = len(lcs)
-		sels := make([]Selection, len(lcs))
-		parallel.ForN(len(lcs), workers, func(i int) {
-			if mode == ScatterBest {
-				sels[i] = e.evalLocation(q, method, w, lcs[i], 1)
-				return
-			}
-			// SelectTopL's body: keyword selection without the saturation
-			// shortcut.
-			if method == KeywordsApprox {
-				sels[i] = e.selectKeywordsGreedy(q, lcs[i], w)
-			} else {
-				sels[i] = e.selectKeywordsExact(q, lcs[i], w, 1)
-			}
-		})
-		for i, sel := range sels {
-			if sel.Count() == 0 || (mode == ScatterBest && sel.Count() < floor) {
-				continue
-			}
-			sel.normalize()
-			out = append(out, ScatterCandidate{Sel: sel, LU: len(lcs[i].users)})
+		stats.Assigned = len(lcs)
+		eval := func(lc locCandidate, comboWorkers int) Selection {
+			return e.evalLocation(q, method, w, lc, comboWorkers)
 		}
+		if mode == ScatterTopL {
+			// SelectTopL's body: keyword selection without evalLocation's
+			// saturation shortcut.
+			eval = func(lc locCandidate, comboWorkers int) Selection {
+				return e.selectKeywords(q, method, lc, w, comboWorkers)
+			}
+		}
+		cands = e.evalLocations(lcs, workers, floor, mode == ScatterBest, eval)
 	case ScatterExhaustive:
-		lis := append([]int(nil), assigned...)
-		stats.Assigned = len(lis)
-		stats.Evaluated = len(lis)
-		sels := make([]Selection, len(lis))
-		allUsers := e.allUserIndexes()
-		parallel.ForN(len(lis), workers, func(i int) {
-			sels[i] = e.exhaustiveLocationBest(q, lis[i], allUsers)
-		})
-		for _, sel := range sels {
-			if sel.Count() == 0 {
-				continue
-			}
-			sel.normalize()
-			out = append(out, ScatterCandidate{Sel: sel, LU: sel.Count()})
+		stats.Assigned = len(assigned)
+		cands = e.evalExhaustive(q, assigned, workers)
+		for i := range cands {
+			cands[i].LU = cands[i].Sel.Count()
 		}
 	default:
 		return nil, stats, fmt.Errorf("core: unknown scatter mode %d", int(mode))
 	}
+	stats.Evaluated = len(cands)
+	stats.SkippedFloor = stats.Assigned - stats.Evaluated
 
-	sortCandidatesByLoc(out)
+	out := cands[:0]
+	for _, c := range cands {
+		if c.Sel.Count() > 0 && c.Sel.Count() >= floor {
+			c.Sel.normalize()
+			out = append(out, c)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		return out[i].Sel.LocIndex < out[j].Sel.LocIndex
+	})
 	return out, stats, nil
-}
-
-// exhaustiveLocationBest is Baseline's inner loop for one location: the
-// first combination (in enumeration order) achieving the location's
-// maximum verified user count.
-func (e *Engine) exhaustiveLocationBest(q Query, li int, all []int) Selection {
-	best := Selection{LocIndex: -1}
-	container.Combinations(q.Keywords, q.WS, func(combo []vocab.TermID) bool {
-		add := append([]vocab.TermID(nil), combo...)
-		doc := q.OxDoc.MergeTerms(add)
-		var users []int32
-		for _, ui := range all {
-			if e.isBRSTkNN(q, li, doc, ui) {
-				users = append(users, e.Users[ui].ID)
-			}
-		}
-		if len(users) > best.Count() {
-			best = Selection{
-				LocIndex: li,
-				Location: q.Locations[li],
-				Keywords: add,
-				Users:    users,
-			}
-		}
-		return true
-	})
-	return best
-}
-
-func sortCandidatesByLoc(cands []ScatterCandidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		return cands[i].Sel.LocIndex < cands[j].Sel.LocIndex
-	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/container"
 	"repro/internal/textrel"
+	"repro/internal/vocab"
 )
 
 // replayBest folds scatter candidates the way the coordinator does for
@@ -68,6 +69,33 @@ func replayExhaustive(cands []ScatterCandidate) Selection {
 	return best
 }
 
+// flatBaseline is Section 4's exhaustive scan as one flat loop: every
+// location × every combination of exactly ws keywords against every user,
+// keeping the first strictly greater count. It is the oracle for Baseline
+// and for the exhaustive scatter replay, which both fold per-location
+// bests instead.
+func flatBaseline(e *Engine, q Query) Selection {
+	best := Selection{LocIndex: -1}
+	for li := range q.Locations {
+		container.Combinations(q.Keywords, q.WS, func(combo []vocab.TermID) bool {
+			add := append([]vocab.TermID(nil), combo...)
+			doc := q.OxDoc.MergeTerms(add)
+			var users []int32
+			for ui := range e.Users {
+				if e.isBRSTkNN(q, li, doc, ui) {
+					users = append(users, e.Users[ui].ID)
+				}
+			}
+			if len(users) > best.Count() {
+				best = Selection{LocIndex: li, Location: q.Locations[li], Keywords: add, Users: users}
+			}
+			return true
+		})
+	}
+	best.normalize()
+	return best
+}
+
 // splitLocations deals location indexes round-robin into n disjoint
 // assignment sets covering every index.
 func splitLocations(nLocs, n int) [][]int {
@@ -80,23 +108,39 @@ func splitLocations(nLocs, n int) [][]int {
 
 // TestScatterSelectReplayEquivalence: evaluating disjoint location subsets
 // via ScatterSelect and replaying the merged candidates must reproduce
-// Select, SelectTopL, and Baseline byte-for-byte — for both keyword
-// methods, with and without a forwarded floor, across split widths.
+// the unpruned best-first scan (which Select must match too), SelectTopL,
+// and the flat exhaustive scan (which Baseline must match too)
+// byte-for-byte — for both keyword methods, with and without a forwarded
+// floor, across split widths.
 func TestScatterSelectReplayEquivalence(t *testing.T) {
-	f := newFixture(t, textrel.LM, 0.5, 400, 40, 24, 21)
-	q := f.query(2, 4)
-	if err := f.engine.PrepareJoint(q.K); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, method := range []KeywordMethod{KeywordsExact, KeywordsApprox} {
-		want, err := f.engine.Select(q, method)
-		if err != nil {
+	// Under LM every location of this fixture has the same |LU_ℓ| and
+	// count; under KO both spread out, so floor skips, incumbent skips
+	// and top-l evictions all take effect.
+	for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.KO} {
+		f := newFixture(t, measure, 0.5, 400, 40, 24, 21)
+		q := f.query(2, 4)
+		if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		wantL, err := f.engine.SelectTopL(q, method, 3)
-		if err != nil {
-			t.Fatal(err)
+		checkScatterReplay(t, f, q)
+	}
+}
+
+func checkScatterReplay(t *testing.T, f *fixture, q Query) {
+	t.Helper()
+	for _, method := range []KeywordMethod{KeywordsExact, KeywordsApprox} {
+		want := unprunedSelect(f.engine, q, method)
+		if got, err := f.engine.Select(q, method, ParallelOptions{}); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("method=%v: Select = %+v (%v), unpruned scan = %+v", method, got, err, want)
+		}
+		// l = 3 keeps a shortlist; l = |L| keeps every positive candidate.
+		ls := []int{3, len(q.Locations)}
+		wantL := make([][]Selection, len(ls))
+		for i, l := range ls {
+			var err error
+			if wantL[i], err = f.engine.SelectTopL(q, method, l); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, n := range []int{1, 2, 4} {
 			parts := splitLocations(len(q.Locations), n)
@@ -119,8 +163,10 @@ func TestScatterSelectReplayEquivalence(t *testing.T) {
 			if got := replayBest(merged); !reflect.DeepEqual(got, want) {
 				t.Fatalf("method=%v n=%d: replayed best differs: %+v vs %+v", method, n, got, want)
 			}
-			if got := replayTopL(mergedL, 3); !reflect.DeepEqual(got, wantL) {
-				t.Fatalf("method=%v n=%d: replayed top-l differs", method, n)
+			for i, l := range ls {
+				if got := replayTopL(mergedL, l); !reflect.DeepEqual(got, wantL[i]) {
+					t.Fatalf("method=%v n=%d l=%d: replayed top-l differs", method, n, l)
+				}
 			}
 
 			// Second wave with the forwarded floor = the achieved best
@@ -155,10 +201,10 @@ func TestScatterSelectReplayEquivalence(t *testing.T) {
 		t.Fatalf("unreachable floor: cands=%d stats=%+v", len(cands), st)
 	}
 
-	// Exhaustive mode against the Baseline scan.
-	wantB, err := f.engine.Baseline(q)
-	if err != nil {
-		t.Fatal(err)
+	// Exhaustive mode against the flat exhaustive scan.
+	wantB := flatBaseline(f.engine, q)
+	if got, err := f.engine.Baseline(q); err != nil || !reflect.DeepEqual(got, wantB) {
+		t.Fatalf("Baseline = %+v (%v), flat scan = %+v", got, err, wantB)
 	}
 	for _, n := range []int{1, 3} {
 		var merged []ScatterCandidate
@@ -182,10 +228,10 @@ func TestScatterSelectReplayEquivalence(t *testing.T) {
 func TestWithThresholdsClone(t *testing.T) {
 	f := newFixture(t, textrel.LM, 0.5, 300, 30, 16, 22)
 	q := f.query(2, 3)
-	if err := f.engine.PrepareJoint(q.K); err != nil {
+	if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := f.engine.Select(q, KeywordsExact)
+	want, err := f.engine.Select(q, KeywordsExact, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +242,7 @@ func TestWithThresholdsClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := clone.Select(q, KeywordsExact)
+	got, err := clone.Select(q, KeywordsExact, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +250,7 @@ func TestWithThresholdsClone(t *testing.T) {
 		t.Fatal("threshold clone answers differently")
 	}
 	// The parent stays unprepared: Select on it must fail.
-	if _, err := fresh.Select(q, KeywordsExact); err == nil {
+	if _, err := fresh.Select(q, KeywordsExact, ParallelOptions{}); err == nil {
 		t.Fatal("unprepared parent unexpectedly answered")
 	}
 	// Bad inputs.

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/geo"
+	"repro/internal/parallel"
 	"repro/internal/textrel"
 	"repro/internal/vocab"
 )
@@ -17,68 +18,119 @@ type locCandidate struct {
 }
 
 // Select answers the query with the pruned search of Section 6:
-// Algorithm 3 orders candidate locations by |LU_ℓ| (best-first), terminates
-// early when no remaining location can beat the incumbent, and delegates
-// keyword selection to the exact (Algorithm 4) or greedy (Section 6.2.1)
-// method. The engine must be prepared for q.K first. Select is the
-// sequential special case of SelectParallel.
-func (e *Engine) Select(q Query, method KeywordMethod) (Selection, error) {
-	return e.selectOrdered(q, method, true)
+// Algorithm 3 orders candidate locations by |LU_ℓ| (best-first), skips
+// every location that cannot beat the incumbent, and delegates keyword
+// selection to the exact (Algorithm 4) or greedy (Section 6.2.1) method.
+// The engine must be prepared for q.K first.
+//
+// Candidate locations fan out over up to opts.Workers goroutines, and
+// within a location the exact keyword-combination scan is chunked across
+// any workers the location fan-out leaves idle. A shared monotone
+// incumbent count replaces Algorithm 3's sequential early termination: a
+// location whose |LU_ℓ| is below the incumbent can never win and is
+// skipped, the same locations the sequential break discards. Workers ≤ 1
+// is the sequential paper algorithm, and the result is byte-identical for
+// every worker count.
+func (e *Engine) Select(q Query, method KeywordMethod, opts ParallelOptions) (Selection, error) {
+	return e.selectBest(q, method, opts.Normalize().Workers, true)
 }
 
 // SelectNoBestFirst is the ablation variant of Select that processes
 // candidate locations in their given order without the |LU_ℓ| best-first
-// ordering or its early termination — isolating the value of Algorithm 3's
-// priority queue (DESIGN.md §6).
+// ordering — isolating the value of Algorithm 3's priority queue (README,
+// "Design notes"). Dominated locations are still skipped, but the scan
+// cannot stop early.
 func (e *Engine) SelectNoBestFirst(q Query, method KeywordMethod) (Selection, error) {
-	return e.selectOrdered(q, method, false)
+	return e.selectBest(q, method, 1, false)
 }
 
-func (e *Engine) selectOrdered(q Query, method KeywordMethod, bestFirst bool) (Selection, error) {
+func (e *Engine) selectBest(q Query, method KeywordMethod, workers int, bestFirst bool) (Selection, error) {
 	if err := e.ensurePrepared(q); err != nil {
 		return Selection{}, err
 	}
 	w := newKeywordSet(q)
 	lcs := e.locationCandidates(q, w, bestFirst)
+	cands := e.evalLocations(lcs, workers, 0, true, func(lc locCandidate, comboWorkers int) Selection {
+		return e.evalLocation(q, method, w, lc, comboWorkers)
+	})
+	return firstMax(cands), nil
+}
 
-	best := Selection{LocIndex: -1}
-	for _, lc := range lcs {
-		// |LU_ℓ| bounds the achievable count from above; in best-first
-		// order no later location can recover either.
-		if len(lc.users) < best.Count() {
-			if bestFirst {
-				break
-			}
-			continue
+// evalLocations is the location loop every selection driver shares. It
+// evaluates the candidates in order on up to workers goroutines and
+// returns the evaluated ones, in the same order, each with its |LU_ℓ|.
+// With prune, a candidate is skipped when |LU_ℓ| < max(floor, incumbent),
+// the incumbent being the best count any candidate has reached so far:
+// |LU_ℓ| bounds the location's count from above, so a skipped candidate
+// can neither win nor tie ahead of a first maximum. comboWorkers, handed
+// to eval, is the share of workers the location fan-out leaves idle for
+// the exact keyword scan.
+func (e *Engine) evalLocations(lcs []locCandidate, workers, floor int, prune bool, eval func(lc locCandidate, comboWorkers int) Selection) []ScatterCandidate {
+	comboWorkers := 1
+	if len(lcs) > 0 {
+		comboWorkers = max(1, workers/len(lcs))
+	}
+	sels := make([]Selection, len(lcs))
+	done := make([]bool, len(lcs))
+	var incumbent parallel.MaxCounter
+	incumbent.Raise(floor)
+	parallel.ForN(len(lcs), workers, func(i int) {
+		if prune && len(lcs[i].users) < incumbent.Get() {
+			return
 		}
-		if sel := e.evalLocation(q, method, w, lc, 1); sel.Count() > best.Count() {
-			best = sel
+		sels[i] = eval(lcs[i], comboWorkers)
+		done[i] = true
+		incumbent.Raise(sels[i].Count())
+	})
+	out := make([]ScatterCandidate, 0, len(lcs))
+	for i, lc := range lcs {
+		if done[i] {
+			out = append(out, ScatterCandidate{Sel: sels[i], LU: len(lc.users)})
+		}
+	}
+	return out
+}
+
+// firstMax folds evaluated candidates, in evaluation order, into the
+// first selection reaching the largest count, normalized.
+func firstMax(cands []ScatterCandidate) Selection {
+	best := Selection{LocIndex: -1}
+	for _, c := range cands {
+		if c.Sel.Count() > best.Count() {
+			best = c.Sel
 		}
 	}
 	best.normalize()
-	return best, nil
+	return best
 }
 
-// evalLocation computes one candidate location's best selection — the
-// per-location body shared by the sequential and parallel searches, so
-// both agree byte-for-byte. comboWorkers bounds the goroutines the exact
-// keyword scan may use (1 = sequential).
+// evalLocation computes one candidate location's best selection, the
+// per-location body of Select. comboWorkers bounds the goroutines the
+// exact keyword scan may use (1 = sequential).
 func (e *Engine) evalLocation(q Query, method KeywordMethod, w keywordSet, lc locCandidate, comboWorkers int) Selection {
 	// Group-level lower-bound shortcut (lines 3.11–3.13): when even the
 	// intersection text of the bare ox.d clears the group threshold, no
 	// keyword is needed. We confirm per user with the exact zero-keyword
-	// STS (DESIGN.md §4 explains why the paper's unverified version can
-	// overcount). The shortcut is conclusive only when the verified count
-	// saturates LU_ℓ; otherwise keywords may still win users, and the
-	// keyword selectors' zero-keyword floor subsumes this count.
+	// STS (README, "Design notes", explains why the paper's unverified
+	// version can overcount). The shortcut is conclusive only when the
+	// verified count saturates LU_ℓ; otherwise keywords may still win
+	// users, and the keyword selectors' zero-keyword floor subsumes this
+	// count.
 	lbSuper := e.Scorer.Alpha*e.Scorer.SSMin(geo.RectFromPoint(q.Locations[lc.li]), e.su.MBR) +
-		(1-e.Scorer.Alpha)*e.su.LBText(e.intTextSum(q))
+		(1-e.Scorer.Alpha)*e.su.LBText(minTextOver(e.Scorer, q.OxDoc, e.su.Int))
 	if lbSuper >= e.rskSuper {
 		users := e.countBRSTkNN(q, lc.li, nil, lc.users)
 		if len(users) == len(lc.users) {
 			return Selection{LocIndex: lc.li, Location: q.Locations[lc.li], Users: users}
 		}
 	}
+	return e.selectKeywords(q, method, lc, w, comboWorkers)
+}
+
+// selectKeywords runs the keyword-selection method of Section 6.2 for
+// one candidate location: the greedy approximation or the exact scan of
+// Algorithm 4 (on up to comboWorkers goroutines).
+func (e *Engine) selectKeywords(q Query, method KeywordMethod, lc locCandidate, w keywordSet, comboWorkers int) Selection {
 	if method == KeywordsApprox {
 		return e.selectKeywordsGreedy(q, lc, w)
 	}
@@ -128,14 +180,4 @@ func (e *Engine) locationCandidates(q Query, w keywordSet, sortBest bool) []locC
 		})
 	}
 	return lcs
-}
-
-// intTextSum returns Σ_{t ∈ us.Int} Weight(ox.d, t): the unnormalized
-// textual lower bound of LBL(ℓ, us) using ox's existing description.
-func (e *Engine) intTextSum(q Query) float64 {
-	total := 0.0
-	for _, t := range e.su.Int {
-		total += e.Scorer.Model.Weight(q.OxDoc, t)
-	}
-	return total
 }

@@ -72,7 +72,7 @@ func (e *Engine) SelectUserIndexed(q Query, method KeywordMethod, ut *miurtree.T
 		MBR: root.Rect, Uni: root.Uni, Int: root.Int,
 		MinNorm: root.MinNorm, MaxNorm: root.MaxNorm, NumUsers: int(root.Count),
 	}
-	tr, err := topk.Traverse(e.Tree, e.Scorer, su, q.K)
+	tr, err := topk.TraverseWith(e.Tree, e.Scorer, su, q.K, &topk.TraverseScratch{})
 	if err != nil {
 		return Selection{}, stats, err
 	}
@@ -187,13 +187,7 @@ func (e *Engine) SelectUserIndexed(q Query, method KeywordMethod, ut *miurtree.T
 		for _, el := range ll.elems {
 			lc.users = append(lc.users, el.ui)
 		}
-		var sel Selection
-		if method == KeywordsApprox {
-			sel = e.selectKeywordsGreedy(q, lc, w)
-		} else {
-			sel = e.selectKeywordsExact(q, lc, w, 1)
-		}
-		if sel.Count() > best.Count() {
+		if sel := e.selectKeywords(q, method, lc, w, 1); sel.Count() > best.Count() {
 			best = sel
 		}
 	}

@@ -15,10 +15,10 @@ func TestUserIndexedMatchesExact(t *testing.T) {
 		for seed := int64(40); seed < 44; seed++ {
 			f := newFixture(t, measure, 0.5, 400, 60, 5, seed)
 			q := f.query(2, 5)
-			if err := f.engine.PrepareJoint(q.K); err != nil {
+			if err := f.engine.PrepareJoint(q.K, ParallelOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			want, err := f.engine.Select(q, KeywordsExact)
+			want, err := f.engine.Select(q, KeywordsExact, ParallelOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

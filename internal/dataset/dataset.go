@@ -2,7 +2,7 @@
 // paper — a set of objects O and a set of users U, each a (location,
 // keywords) pair — together with corpus statistics and the synthetic
 // workload generators that stand in for the Flickr and Yelp collections of
-// Section 8 (see DESIGN.md for the substitution rationale).
+// Section 8 (the README's "Design notes" give the substitution rationale).
 package dataset
 
 import (

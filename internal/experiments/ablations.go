@@ -23,7 +23,7 @@ func AblationMinWeights(cfg Config) (*Table, error) {
 
 		w.MIR.IO().Reset()
 		start := time.Now()
-		trM, err := topk.Traverse(w.MIR, w.Scorer, su, cfg.K)
+		trM, err := topk.TraverseWith(w.MIR, w.Scorer, su, cfg.K, &topk.TraverseScratch{})
 		if err != nil {
 			return nil, err
 		}
@@ -32,7 +32,7 @@ func AblationMinWeights(cfg Config) (*Table, error) {
 
 		w.IR.IO().Reset()
 		start = time.Now()
-		trI, err := topk.Traverse(w.IR, w.Scorer, su, cfg.K)
+		trI, err := topk.TraverseWith(w.IR, w.Scorer, su, cfg.K, &topk.TraverseScratch{})
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +96,7 @@ func AblationBestFirst(cfg Config) (*Table, error) {
 		q := w.Query()
 
 		start := time.Now()
-		selBF, err := e.Select(q, core.KeywordsApprox)
+		selBF, err := e.Select(q, core.KeywordsApprox, core.ParallelOptions{})
 		if err != nil {
 			return nil, err
 		}

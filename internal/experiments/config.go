@@ -10,7 +10,7 @@ import (
 	"repro/internal/textrel"
 )
 
-// DatasetKind selects the synthetic workload family (DESIGN.md §3).
+// DatasetKind selects the synthetic workload family (README, "Design notes").
 type DatasetKind int
 
 const (

@@ -81,12 +81,12 @@ func FigDisk(cfg Config) ([]*Table, error) {
 
 			e := core.NewEngine(tree, scorer, w.US.Users)
 			start := time.Now()
-			if err := e.PrepareJointParallel(cfg.K, w.parOpts()); err != nil {
+			if err := e.PrepareJoint(cfg.K, w.parOpts()); err != nil {
 				return err
 			}
 			points[pi].prepMs += float64(time.Since(start).Microseconds()) / 1000
 			start = time.Now()
-			sel, err := e.SelectParallel(q, core.KeywordsExact, w.parOpts())
+			sel, err := e.Select(q, core.KeywordsExact, w.parOpts())
 			if err != nil {
 				return err
 			}

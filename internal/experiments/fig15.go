@@ -55,7 +55,7 @@ func Fig15(cfg Config, us []int) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := e.Select(w.Query(), core.KeywordsApprox); err != nil {
+			if _, err := e.Select(w.Query(), core.KeywordsApprox, core.ParallelOptions{}); err != nil {
 				return nil, err
 			}
 			unIO += w.MIR.IO().Total() + int64(userFileBlocks(w))

@@ -255,8 +255,9 @@ func Fig12(cfg Config, us []int) ([]*Table, error) {
 	return []*Table{topkT, selT}, nil
 }
 
-// Fig13 — scalability in |O| (paper: 1M–8M; scaled per DESIGN.md). The
-// selection panel compares Exact and Approx only, as in the paper.
+// Fig13 — scalability in |O| (paper: 1M–8M; scaled down, see the
+// README's "Design notes"). The selection panel compares Exact and Approx
+// only, as in the paper.
 func Fig13(cfg Config, os []int) ([]*Table, error) {
 	if len(os) == 0 {
 		os = []int{10000, 20000, 40000, 80000}

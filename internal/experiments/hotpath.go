@@ -77,7 +77,7 @@ func measureHotpathVariant(cfg Config, name string, cacheBytes int64, packed boo
 
 	// Warm-up run doubles as the equivalence check: the decoded cache and
 	// scratch reuse must be invisible in the answers.
-	res, err := topk.JointTopKParallel(w.MIR, w.Scorer, w.US.Users, c.K, workers, workers)
+	res, err := topk.JointTopK(w.MIR, w.Scorer, w.US.Users, c.K, workers, workers, nil)
 	if err != nil {
 		return HotpathVariant{}, nil, err
 	}
@@ -91,7 +91,7 @@ func measureHotpathVariant(cfg Config, name string, cacheBytes int64, packed boo
 	m0, b0 := ms.Mallocs, ms.TotalAlloc
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		if _, err := topk.JointTopKParallel(w.MIR, w.Scorer, w.US.Users, c.K, workers, workers); err != nil {
+		if _, err := topk.JointTopK(w.MIR, w.Scorer, w.US.Users, c.K, workers, workers, nil); err != nil {
 			return HotpathVariant{}, nil, err
 		}
 	}

@@ -42,13 +42,13 @@ func FigScaling(cfg Config) ([]*Table, error) {
 			e := core.NewEngine(w.MIR, w.Scorer, w.US.Users)
 
 			start := time.Now()
-			if err := e.PrepareJointParallel(w.Cfg.K, opts); err != nil {
+			if err := e.PrepareJoint(w.Cfg.K, opts); err != nil {
 				return nil, err
 			}
 			points[pi].prepMs += float64(time.Since(start).Microseconds()) / 1000
 
 			start = time.Now()
-			sel, err := e.SelectParallel(q, core.KeywordsExact, opts)
+			sel, err := e.Select(q, core.KeywordsExact, opts)
 			if err != nil {
 				return nil, err
 			}

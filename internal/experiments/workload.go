@@ -129,7 +129,7 @@ func (w *Workload) MeasureJointTopK() (TopKMetrics, error) {
 	w.MIR.IO().Reset()
 	opts := w.parOpts()
 	start := time.Now()
-	if _, err := topk.JointTopKParallel(w.MIR, w.Scorer, w.US.Users, w.Cfg.K, opts.Workers, opts.Groups); err != nil {
+	if _, err := topk.JointTopK(w.MIR, w.Scorer, w.US.Users, w.Cfg.K, opts.Workers, opts.Groups, nil); err != nil {
 		return TopKMetrics{}, err
 	}
 	return TopKMetrics{
@@ -142,7 +142,7 @@ func (w *Workload) MeasureJointTopK() (TopKMetrics, error) {
 // PreparedEngine returns an engine with thresholds computed jointly.
 func (w *Workload) PreparedEngine() (*core.Engine, error) {
 	e := core.NewEngine(w.MIR, w.Scorer, w.US.Users)
-	if err := e.PrepareJointParallel(w.Cfg.K, w.parOpts()); err != nil {
+	if err := e.PrepareJoint(w.Cfg.K, w.parOpts()); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -161,13 +161,13 @@ func (w *Workload) SelectionTriple(e *core.Engine, runBaseline bool) (bMs, eMs, 
 		bMs = float64(time.Since(start).Microseconds()) / 1000
 	}
 	start := time.Now()
-	exact, err := e.SelectParallel(q, core.KeywordsExact, w.parOpts())
+	exact, err := e.Select(q, core.KeywordsExact, w.parOpts())
 	if err != nil {
 		return
 	}
 	eMs = float64(time.Since(start).Microseconds()) / 1000
 	start = time.Now()
-	approx, err := e.SelectParallel(q, core.KeywordsApprox, w.parOpts())
+	approx, err := e.Select(q, core.KeywordsApprox, w.parOpts())
 	if err != nil {
 		return
 	}

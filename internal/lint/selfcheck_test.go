@@ -99,7 +99,7 @@ func TestHotPathAnnotationsPresent(t *testing.T) {
 		"invfile.DecodeSumsInto",
 		"invfile.SumsBounded",
 		"topk.TraverseWith",
-		"topk.OneUserTopKPrunedWith",
+		"topk.refineUser",
 		"core.scanUnit",
 		"core.countCombo",
 	} {

@@ -361,9 +361,10 @@ func (c *Coordinator) cohortThresholds(ctx context.Context, users []UserSpec, k 
 // each user's wave-1 k-th best score as a traversal seed (unless
 // forwarding is disabled) — a valid lower bound on the global k-th best,
 // so the seeded pruning is lossless. The merged per-user top-k (score
-// descending, global id ascending, keep k) reproduces the single-index
-// lists exactly; rsk[u] is its k-th score, or the refinement heap's
-// "nothing qualifies" sentinel when fewer than k objects exist.
+// descending, global id ascending, keep k — maxbrstknn.MergeTopK)
+// reproduces the single-index lists exactly; rsk[u] is its k-th score, or
+// the refinement heap's "nothing qualifies" sentinel when fewer than k
+// objects exist (maxbrstknn.ThresholdFromMerged).
 func (c *Coordinator) gatherThresholds(ctx context.Context, users []UserSpec, k int, par ParallelSpec) ([]float64, error) {
 	counts, err := c.objectCounts(ctx)
 	if err != nil {
@@ -428,22 +429,12 @@ func (c *Coordinator) gatherThresholds(ctx context.Context, users []UserSpec, k 
 	}
 
 	rsk := make([]float64, len(users))
+	lists := make([][]maxbrstknn.RankedObject, len(responses))
 	for u := range users {
-		var all []RankedPayload
 		for s := range responses {
-			all = append(all, responses[s].PerUser[u]...)
+			lists[s] = rankedObjects(responses[s].PerUser[u])
 		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].Score != all[j].Score {
-				return all[i].Score > all[j].Score
-			}
-			return all[i].ObjectID < all[j].ObjectID
-		})
-		if len(all) >= k {
-			rsk[u] = all[k-1].Score
-		} else {
-			rsk[u] = -math.MaxFloat64
-		}
+		rsk[u] = maxbrstknn.ThresholdFromMerged(maxbrstknn.MergeTopK(k, lists...), k)
 	}
 	return rsk, nil
 }
@@ -723,10 +714,11 @@ func (c *Coordinator) handleMultiple(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleTopK scatters one user's top-k to every shard and merges by
-// (score descending, global id ascending). Exact whenever scores are
-// distinct; equal-scored objects may order differently than a single
-// index, whose heap breaks such ties by traversal order.
+// handleTopK scatters one user's top-k to every shard and merges with
+// maxbrstknn.MergeTopK: (score descending, global id ascending), keep k.
+// Exact whenever scores are distinct; equal-scored objects may order
+// differently than a single index, whose heap breaks such ties by
+// traversal order.
 func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var wire TopKRequest
 	if err := c.decodeBody(w, r, &wire); err != nil {
@@ -747,27 +739,27 @@ func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}(s)
 	}
 	wg.Wait()
-	all := make([]RankedPayload, 0, len(c.shards)*wire.K)
+	lists := make([][]maxbrstknn.RankedObject, len(c.shards))
 	for s := range c.shards {
 		if errs[s] != nil {
 			writeError(w, coordErrorStatus(errs[s]), errs[s])
 			return
 		}
-		all = append(all, responses[s].Results...)
+		lists[s] = rankedObjects(responses[s].Results)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		return all[i].ObjectID < all[j].ObjectID
-	})
-	if wire.K >= 0 && len(all) > wire.K {
-		all = all[:wire.K]
-	}
+	merged := maxbrstknn.MergeTopK(wire.K, lists...)
 	c.served.Add(1)
-	writeJSON(w, func() ([]byte, error) {
-		return appendNewline(json.Marshal(topKResponse{Results: all}))
-	})
+	writeJSON(w, func() ([]byte, error) { return TopKJSON(merged) })
+}
+
+// rankedObjects converts wire top-k entries to the facade's form, which
+// the shared merge (maxbrstknn.MergeTopK) consumes.
+func rankedObjects(ps []RankedPayload) []maxbrstknn.RankedObject {
+	out := make([]maxbrstknn.RankedObject, len(ps))
+	for i, p := range ps {
+		out[i] = maxbrstknn.RankedObject(p)
+	}
+	return out
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {

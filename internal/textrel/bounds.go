@@ -20,7 +20,7 @@ func NewCandidateSet(terms []vocab.TermID) CandidateSet {
 
 // TSAddUpperBound returns an upper bound on TS(ox.d ∪ c, ud) over every
 // keyword set c ⊆ W with |c| ≤ ws — the Lemma 3 quantity, in the additive
-// form that stays sound for the Language Model (DESIGN.md §4):
+// form that stays sound for the Language Model (README, "Design notes"):
 //
 //	[ Σ_{t∈ud} Weight(ox.d,t) + Σ_{top-ws gains t ∈ ud∩W} AddWeight(ox.d,t) ] / norm
 //

@@ -22,7 +22,7 @@
 // (the smoothing floor λ·tf(t,C)/|C| for LM; zero otherwise). AddWeight(d,t)
 // is an upper bound on the weight t attains in d ∪ c for any keyword set c
 // containing t with |c| ≥ 1 — the quantity Lemma 3's upper bound needs.
-// DESIGN.md §4 explains why the additive form is required for LM.
+// The README's "Design notes" explain why LM needs the additive form.
 package textrel
 
 import (
@@ -203,7 +203,8 @@ func (m *LanguageModel) floorOf(t vocab.TermID) float64 {
 // AddWeight implements Model: adding t (frequency 1) to d lengthens it to
 // at least |d|+1, so the ML component gained is at most (1−λ)/(|d|+1).
 // Combined with the (f+1)/(L+s) ≤ f/L + 1/(L+1) inequality this dominates
-// the true gain for every added keyword set containing t (DESIGN.md §4).
+// the true gain for every added keyword set containing t (README,
+// "Design notes").
 func (m *LanguageModel) AddWeight(d vocab.Doc, t vocab.TermID) float64 {
 	return (1 - m.lambda) / float64(d.Len()+1)
 }

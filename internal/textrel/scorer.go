@@ -134,7 +134,7 @@ func (s *Scorer) UserNorms(users []dataset.User) []float64 {
 
 // GroupNorms returns the minimum and maximum Norm(u) over a set of users —
 // the denominators that keep the super-user bounds of Lemma 2 sound for
-// every measure (DESIGN.md §4).
+// every measure (README, "Design notes").
 func GroupNorms(norms []float64) (minNorm, maxNorm float64) {
 	if len(norms) == 0 {
 		return 1, 1

@@ -7,27 +7,27 @@ import (
 	"repro/internal/textrel"
 )
 
-// TestOneUserTopKPrunedAllocations pins the per-user cost of the joint
+// TestRefineUserAllocations pins the per-user cost of the joint
 // refinement: with a warm per-worker scratch, refining one user must
 // allocate only the returned Results slice itself (one allocation — it is
 // handed to the caller, so it cannot be pooled). A regression here
-// re-introduces the per-user heap allocations this PR removed.
-func TestOneUserTopKPrunedAllocations(t *testing.T) {
+// re-introduces per-user heap allocations.
+func TestRefineUserAllocations(t *testing.T) {
 	tree, scorer, us := setup(t, textrel.LM, 400, 30)
 	su := BuildSuperUser(us.Users, scorer)
-	tr, err := Traverse(tree, scorer, su, 5)
+	tr, err := TraverseWith(tree, scorer, su, 5, &TraverseScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aux := buildRefineAux(tr)
+	ri := NewRefineIndex(tr)
 	norms := scorer.UserNorms(us.Users)
 	ds := tree.Dataset()
 
-	sc := &RefineScratch{}
-	OneUserTopKPrunedWith(ds, scorer, &us.Users[0], norms[0], tr, aux, 5, sc)
+	sc := &refineScratch{}
+	refineUser(ds, scorer, &us.Users[0], norms[0], tr, &ri, 5, 0, sc)
 	allocs := testing.AllocsPerRun(100, func() {
 		for ui := range us.Users {
-			OneUserTopKPrunedWith(ds, scorer, &us.Users[ui], norms[ui], tr, aux, 5, sc)
+			refineUser(ds, scorer, &us.Users[ui], norms[ui], tr, &ri, 5, 0, sc)
 		}
 	})
 	perUser := allocs / float64(len(us.Users))

@@ -37,7 +37,7 @@ func TestJointEdgeCases(t *testing.T) {
 		scorer := textrel.NewScorer(ds, measure, 0.5)
 		tree := irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.MIRTree, Fanout: 4})
 		for _, k := range []int{1, 2, 4} {
-			joint, err := JointTopK(tree, scorer, users, k)
+			joint, err := JointTopK(tree, scorer, users, k, 1, 1, nil)
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", measure, k, err)
 			}
@@ -85,7 +85,7 @@ func TestJointSingleObject(t *testing.T) {
 	scorer := textrel.NewScorer(ds, textrel.KO, 0.5)
 	tree := irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.MIRTree, Fanout: 4})
 	users := []dataset.User{{ID: 0, Loc: geo.Point{X: 1, Y: 1}, Doc: vocab.DocFromTerms([]vocab.TermID{a})}}
-	joint, err := JointTopK(tree, scorer, users, 3)
+	joint, err := JointTopK(tree, scorer, users, 3, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestJointIdenticalUsers(t *testing.T) {
 	for i := range users {
 		users[i] = dataset.User{ID: int32(i), Loc: geo.Point{X: 10, Y: 0}, Doc: vocab.DocFromTerms([]vocab.TermID{a})}
 	}
-	joint, err := JointTopK(tree, scorer, users, 3)
+	joint, err := JointTopK(tree, scorer, users, 3, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestJointIdenticalUsers(t *testing.T) {
 			t.Fatalf("identical users got different RSk: %v vs %v", joint.PerUser[ui].RSk, first)
 		}
 	}
-	su := joint.Super
+	su := BuildSuperUser(users, scorer)
 	if su.MBR.Area() != 0 {
 		t.Error("identical locations should give a degenerate super-user MBR")
 	}

@@ -2,6 +2,7 @@ package topk
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/container"
 	"repro/internal/dataset"
@@ -29,23 +30,26 @@ func PartitionUsers(users []dataset.User, groups int) [][]int {
 	return geo.PartitionPoints(pts, groups)
 }
 
-// refineAux is the per-group pruning index the parallel refinement builds
-// over a traversal's RO list: running suffix maxima of the two UB
-// components. For any user u of the group and scan position i, every
+// RefineIndex is the precomputed pruning state of one traversal's
+// candidate list: running suffix maxima of the two UB components over RO.
+// For any user u of the traversal's group and scan position i, every
 // candidate at or beyond i scores at most
 //
 //	α·sufS[i] + (1−α)·sufR[i]/Norm(u)
 //
 // — a user-specific cutoff far tighter than the group-normalized UB the
 // paper's Algorithm 2 breaks on, because it swaps the group's MinNorm for
-// the user's own normalizer.
-type refineAux struct {
+// the user's own normalizer. It depends only on the TraversalResult, so
+// callers refining against one traversal repeatedly build it once and
+// share it.
+type RefineIndex struct {
 	sufS, sufR []float64
 }
 
-func buildRefineAux(tr *TraversalResult) *refineAux {
+// NewRefineIndex builds the pruning index over tr's candidates.
+func NewRefineIndex(tr *TraversalResult) RefineIndex {
 	n := len(tr.RO)
-	aux := &refineAux{sufS: make([]float64, n), sufR: make([]float64, n)}
+	ri := RefineIndex{sufS: make([]float64, n), sufR: make([]float64, n)}
 	maxS, maxR := 0.0, 0.0
 	for i := n - 1; i >= 0; i-- {
 		if tr.RO[i].SMax > maxS {
@@ -54,33 +58,21 @@ func buildRefineAux(tr *TraversalResult) *refineAux {
 		if tr.RO[i].RawText > maxR {
 			maxR = tr.RO[i].RawText
 		}
-		aux.sufS[i], aux.sufR[i] = maxS, maxR
+		ri.sufS[i], ri.sufR[i] = maxS, maxR
 	}
-	return aux
+	return ri
 }
 
-// OneUserTopKPruned is Algorithm 2's per-user refinement with, when aux is
-// non-nil, two additional provably lossless pruning rules enabled by the
-// UB decomposition: a per-candidate skip (α·SMax + (1−α)·RawText/Norm(u)
-// < RSk already proves the exact score cannot qualify) and a suffix-maxima
-// early break (no remaining candidate can qualify). Both bounds dominate
-// the user's exact STS whenever the user belongs to the traversal's group
-// — their location lies in the group MBR and their keywords in the group
-// union — so the result is byte-identical to the aux-less scan.
-func OneUserTopKPruned(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, norm float64, tr *TraversalResult, aux *refineAux, k int) UserTopK {
-	return OneUserTopKPrunedWith(ds, scorer, u, norm, tr, aux, k, &RefineScratch{})
-}
-
-// RefineScratch holds the reusable per-user refinement state — the
+// refineScratch holds the reusable per-user refinement state — the
 // bounded top-k heap — so one worker refining many users allocates it
 // once. The zero value is ready to use; a scratch must not be shared
 // between concurrent refinements.
-type RefineScratch struct {
+type refineScratch struct {
 	hu *container.StableTopK[irtree.Result]
 }
 
 // heap returns the scratch's top-k heap, emptied and re-armed for k.
-func (sc *RefineScratch) heap(k int) *container.StableTopK[irtree.Result] {
+func (sc *refineScratch) heap(k int) *container.StableTopK[irtree.Result] {
 	if sc.hu == nil {
 		sc.hu = container.NewStableTopK[irtree.Result](k)
 	} else {
@@ -89,28 +81,35 @@ func (sc *RefineScratch) heap(k int) *container.StableTopK[irtree.Result] {
 	return sc.hu
 }
 
-// OneUserTopKPrunedWith is OneUserTopKPruned with caller-supplied scratch:
-// with a warm scratch the only per-user allocation left is the returned
-// Results slice itself. Results are identical to OneUserTopKPruned.
+// refineUser is Algorithm 2's per-user refinement: user u's exact top-k
+// from a traversal's candidates. Ties on the k-th score are broken by
+// ascending object ID, making the retained set a function of the
+// candidate multiset alone, so grouped and global traversals yield
+// identical answers — the engine's equivalence guarantee.
+//
+// Beyond the paper's descending-UB break, ri enables two provably
+// lossless pruning rules: a per-candidate skip (α·SMax +
+// (1−α)·RawText/Norm(u) < RSk already proves the exact score cannot
+// qualify) and a suffix-maxima early break (no remaining candidate can
+// qualify). Both bounds dominate the user's exact STS whenever the user
+// belongs to the traversal's group — their location lies in the group MBR
+// and their keywords in the group union — so the result equals the
+// unpruned scan's.
+//
+// A positive seed is a lower bound on u's global k-th best score that a
+// coordinator merging per-shard lists already holds: the threshold then
+// runs at max(heap threshold, seed) throughout. Candidates below it can
+// never enter u's merged top-k, while boundary ties survive (the
+// qualifying test is s ≥ threshold, and merged retention under the
+// StableTopK order depends only on the candidate multiset at or above the
+// global k-th score). A seed ≤ 0 is ignored, as every score is ≥ 0. With
+// a warm scratch the only allocation is the returned Results slice.
 //
 //maxbr:hotpath
-func OneUserTopKPrunedWith(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, norm float64, tr *TraversalResult, aux *refineAux, k int, sc *RefineScratch) UserTopK {
-	return OneUserTopKSeededWith(ds, scorer, u, norm, tr, aux, k, -math.MaxFloat64, sc)
-}
-
-// OneUserTopKSeededWith is OneUserTopKPrunedWith with an externally
-// supplied score seed: the refinement threshold runs at max(heap
-// threshold, seed) throughout. With seed = −MaxFloat64 it is
-// step-for-step identical to the unseeded scan. A coordinator merging
-// per-shard top-k lists passes the k-th best score user u already holds
-// from earlier shards; candidates below that seed are skipped because
-// they can never enter u's merged top-k, while boundary ties survive
-// (the qualifying test is s ≥ threshold, and merged retention under the
-// StableTopK order depends only on the candidate multiset at or above
-// the global k-th score).
-//
-//maxbr:hotpath
-func OneUserTopKSeededWith(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, norm float64, tr *TraversalResult, aux *refineAux, k int, seed float64, sc *RefineScratch) UserTopK {
+func refineUser(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, norm float64, tr *TraversalResult, ri *RefineIndex, k int, seed float64, sc *refineScratch) UserTopK {
+	if seed <= 0 {
+		seed = -math.MaxFloat64
+	}
 	hu := sc.heap(k)
 	scored := len(tr.LO)
 	for _, o := range tr.LO {
@@ -118,79 +117,102 @@ func OneUserTopKSeededWith(ds *dataset.Dataset, scorer *textrel.Scorer, u *datas
 		s := scorer.STS(obj.Loc, obj.Doc, u.Loc, u.Doc, norm)
 		hu.Offer(irtree.Result{ObjID: o.ObjID, Score: s}, s, int64(o.ObjID))
 	}
-	rsk := hu.Threshold()
-	if seed > rsk {
-		rsk = seed
-	}
+	rsk := max(hu.Threshold(), seed)
 	alpha := scorer.Alpha
 	for i := range tr.RO {
 		o := &tr.RO[i]
 		if o.UB < rsk {
 			break // the paper's break: RO is descending in group UB
 		}
-		if aux != nil {
-			if alpha*aux.sufS[i]+(1-alpha)*aux.sufR[i]/norm < rsk {
-				break // no remaining candidate can reach this user's top-k
-			}
-			if alpha*o.SMax+(1-alpha)*o.RawText/norm < rsk {
-				continue // this candidate provably cannot qualify
-			}
+		if alpha*ri.sufS[i]+(1-alpha)*ri.sufR[i]/norm < rsk {
+			break // no remaining candidate can reach this user's top-k
+		}
+		if alpha*o.SMax+(1-alpha)*o.RawText/norm < rsk {
+			continue // this candidate provably cannot qualify
 		}
 		obj := &ds.Objects[o.ObjID]
 		scored++
 		s := scorer.STS(obj.Loc, obj.Doc, u.Loc, u.Doc, norm)
 		if s >= rsk {
 			hu.Offer(irtree.Result{ObjID: o.ObjID, Score: s}, s, int64(o.ObjID))
-			rsk = hu.Threshold()
-			if seed > rsk {
-				rsk = seed
-			}
+			rsk = max(hu.Threshold(), seed)
 		}
 	}
 	// PopAscending yields worst→best under (score, then object ID);
 	// reversing gives descending score with ascending-ID tie-breaks.
 	results := hu.PopAscending()
-	for i, j := 0, len(results)-1; i < j; i, j = i+1, j-1 {
-		results[i], results[j] = results[j], results[i]
-	}
+	slices.Reverse(results)
 	return UserTopK{Results: results, RSk: rsk, Scored: scored}
 }
 
-// JointTopKParallel is the grouped, concurrent form of JointTopK: the user
-// set is partitioned into `groups` spatial groups, each group's super-user
-// traversal (Algorithm 1) runs on a pool of up to `workers` goroutines,
-// and the per-user refinements fan out over the same pool using the
-// pruned refinement above. workers <= 1 with groups <= 1 is exactly the
-// sequential JointTopK.
-//
-// Per-user results are identical to JointTopK for every workers/groups
-// choice: each group traversal yields a candidate superset of its users'
-// top-k objects, the extra pruning rules discard only candidates whose
-// bounds prove they cannot qualify, and ties are broken by object ID, so
-// refinement depends only on scores. The returned JointResult carries
-// Super and Trav only when a single group was used; with several groups
-// there is no single super-user traversal to report.
-func JointTopKParallel(tree *irtree.Tree, scorer *textrel.Scorer, users []dataset.User, k, workers, groups int) (*JointResult, error) {
-	if workers <= 1 && groups <= 1 {
-		return JointTopK(tree, scorer, users, k)
+// IndividualTopKWith implements Algorithm 2 for a user list against one
+// traversal and its prebuilt RefineIndex: each user's exact top-k,
+// refined sequentially with one reusable scratch. tr must hold LO (any
+// order) and RO sorted by descending upper bound, as TraverseWith
+// produces them, and every user must belong to the traversal's group.
+func IndividualTopKWith(ds *dataset.Dataset, scorer *textrel.Scorer, users []dataset.User, norms []float64, tr *TraversalResult, ri RefineIndex, k int) []UserTopK {
+	out := make([]UserTopK, len(users))
+	var sc refineScratch
+	for ui := range users {
+		out[ui] = refineUser(ds, scorer, &users[ui], norms[ui], tr, &ri, k, 0, &sc)
 	}
+	return out
+}
+
+// JointResult bundles everything the joint processing yields.
+type JointResult struct {
+	PerUser []UserTopK
+	// Visited totals the tree nodes expanded across all group traversals
+	// (see TraversalResult).
+	Visited int
+	// Refined totals the candidates scored across all per-user refinements
+	// (see UserTopK.Scored).
+	Refined int
+}
+
+// JointTopK runs the Section 5 pipeline: the user set is partitioned into
+// `groups` spatial groups, each group's super-user traversal
+// (Algorithm 1) runs on a pool of up to `workers` goroutines, and the
+// per-user refinements (Algorithm 2) fan out over the same pool. With
+// workers = groups = 1 and nil seeds it is the paper's sequential
+// pipeline: one super-user, one traversal, one refinement pass.
+//
+// seeds, when non-nil, holds per-user lower bounds on each user's global
+// k-th best score that a coordinator established from other shards'
+// answers. Each group traversal then runs with the minimum of its
+// members' seeds as SuperUser.Floor — an object below every member's seed
+// can never qualify for any of them — and each refinement with the
+// user's own seed. Seeds ≤ 0 are no bound. Seeded per-user lists keep
+// every object scoring at or above the seed, which is all a merged global
+// top-k consumes.
+//
+// Per-user results are identical for every workers/groups choice: each
+// group traversal yields a candidate superset of its users' top-k objects,
+// the pruning rules discard only candidates whose bounds prove they cannot
+// qualify, and ties are broken by object ID, so refinement depends only on
+// scores.
+func JointTopK(tree *irtree.Tree, scorer *textrel.Scorer, users []dataset.User, k, workers, groups int, seeds []float64) (*JointResult, error) {
 	parts := PartitionUsers(users, groups)
 	norms := scorer.UserNorms(users)
+	groupOf := make([]int, len(users))
 
 	travs := make([]*TraversalResult, len(parts))
-	auxes := make([]*refineAux, len(parts))
-	sus := make([]SuperUser, len(parts))
+	ris := make([]RefineIndex, len(parts))
 	errs := make([]error, len(parts))
 	travScratch := make([]TraverseScratch, parallel.Workers(len(parts), workers))
 	parallel.ForNWorkers(len(parts), workers, func(w, g int) {
 		gu := make([]dataset.User, len(parts[g]))
+		floor := math.MaxFloat64
 		for i, ui := range parts[g] {
 			gu[i] = users[ui]
+			groupOf[ui] = g
+			floor = min(floor, seedOf(seeds, ui))
 		}
-		sus[g] = BuildSuperUser(gu, scorer)
-		travs[g], errs[g] = TraverseWith(tree, scorer, sus[g], k, &travScratch[w])
+		su := BuildSuperUser(gu, scorer)
+		su.Floor = floor
+		travs[g], errs[g] = TraverseWith(tree, scorer, su, k, &travScratch[w])
 		if errs[g] == nil {
-			auxes[g] = buildRefineAux(travs[g])
+			ris[g] = NewRefineIndex(travs[g])
 		}
 	})
 	for _, err := range errs {
@@ -199,105 +221,26 @@ func JointTopKParallel(tree *irtree.Tree, scorer *textrel.Scorer, users []datase
 		}
 	}
 
-	groupOf := make([]int, len(users))
-	for g, part := range parts {
-		for _, ui := range part {
-			groupOf[ui] = g
-		}
-	}
-	per := make([]UserTopK, len(users))
+	res := &JointResult{PerUser: make([]UserTopK, len(users))}
 	ds := tree.Dataset()
-	refScratch := make([]RefineScratch, parallel.Workers(len(users), workers))
+	refScratch := make([]refineScratch, parallel.Workers(len(users), workers))
 	parallel.ForNWorkers(len(users), workers, func(w, ui int) {
 		g := groupOf[ui]
-		per[ui] = OneUserTopKPrunedWith(ds, scorer, &users[ui], norms[ui], travs[g], auxes[g], k, &refScratch[w])
+		res.PerUser[ui] = refineUser(ds, scorer, &users[ui], norms[ui], travs[g], &ris[g], k, seedOf(seeds, ui), &refScratch[w])
 	})
-
-	res := &JointResult{PerUser: per, Norms: norms}
 	for _, tr := range travs {
 		res.Visited += tr.Visited
 	}
-	for i := range per {
-		res.Refined += per[i].Scored
-	}
-	if len(parts) == 1 {
-		res.Super, res.Trav = sus[0], travs[0]
+	for i := range res.PerUser {
+		res.Refined += res.PerUser[i].Scored
 	}
 	return res, nil
 }
 
-// JointTopKParallelSeeded is JointTopKParallel with per-user score seeds:
-// seeds[ui] is a lower bound on user ui's global k-th best score that a
-// coordinator established from other shards' answers. Each group
-// traversal runs with floor = min over the group's seeds (TraverseBounded
-// — an object below every group member's seed can never qualify for any
-// of them), and each refinement runs at the user's own seed
-// (OneUserTopKSeededWith). With all-zero seeds the extra tests never
-// fire on the non-negative score domain, so results match the unseeded
-// pipeline exactly; with real seeds the per-user lists restricted to
-// scores ≥ the seed are preserved, which is all a merged global top-k
-// consumes. Unlike JointTopKParallel this always takes the grouped path
-// (a single group is byte-identical to the sequential pipeline anyway).
-func JointTopKParallelSeeded(tree *irtree.Tree, scorer *textrel.Scorer, users []dataset.User, k, workers, groups int, seeds []float64) (*JointResult, error) {
-	parts := PartitionUsers(users, groups)
-	norms := scorer.UserNorms(users)
-
-	floors := make([]float64, len(parts))
-	for g, part := range parts {
-		f := math.MaxFloat64
-		for _, ui := range part {
-			if seeds[ui] < f {
-				f = seeds[ui]
-			}
-		}
-		floors[g] = f
+// seedOf returns user ui's seed, 0 (no bound) when no seeds were given.
+func seedOf(seeds []float64, ui int) float64 {
+	if seeds == nil {
+		return 0
 	}
-
-	travs := make([]*TraversalResult, len(parts))
-	auxes := make([]*refineAux, len(parts))
-	sus := make([]SuperUser, len(parts))
-	errs := make([]error, len(parts))
-	travScratch := make([]TraverseScratch, parallel.Workers(len(parts), workers))
-	parallel.ForNWorkers(len(parts), workers, func(w, g int) {
-		gu := make([]dataset.User, len(parts[g]))
-		for i, ui := range parts[g] {
-			gu[i] = users[ui]
-		}
-		sus[g] = BuildSuperUser(gu, scorer)
-		travs[g], errs[g] = TraverseBounded(tree, scorer, sus[g], k, floors[g], &travScratch[w])
-		if errs[g] == nil {
-			auxes[g] = buildRefineAux(travs[g])
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	groupOf := make([]int, len(users))
-	for g, part := range parts {
-		for _, ui := range part {
-			groupOf[ui] = g
-		}
-	}
-	per := make([]UserTopK, len(users))
-	ds := tree.Dataset()
-	refScratch := make([]RefineScratch, parallel.Workers(len(users), workers))
-	parallel.ForNWorkers(len(users), workers, func(w, ui int) {
-		g := groupOf[ui]
-		per[ui] = OneUserTopKSeededWith(ds, scorer, &users[ui], norms[ui], travs[g], auxes[g], k, seeds[ui], &refScratch[w])
-	})
-
-	res := &JointResult{PerUser: per, Norms: norms}
-	for _, tr := range travs {
-		res.Visited += tr.Visited
-	}
-	for i := range per {
-		res.Refined += per[i].Scored
-	}
-	if len(parts) == 1 {
-		res.Super, res.Trav = sus[0], travs[0]
-	}
-	return res, nil
+	return seeds[ui]
 }

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -56,82 +57,74 @@ func TestPartitionUsersEmpty(t *testing.T) {
 }
 
 // TestJointTopKParallelEquivalence is the topk half of the determinism
-// guarantee: every (workers, groups) combination must reproduce the
-// sequential per-user results exactly — same RSk, same top-k objects, same
-// order.
+// guarantee: every (workers, groups) combination, unseeded or with
+// forwarded seeds, must reproduce the unpruned single-traversal oracle
+// exactly — same RSk, same top-k objects, same order — and agree in score
+// with the per-user IR-tree search of Section 4.
 func TestJointTopKParallelEquivalence(t *testing.T) {
 	tree, scorer, users := groupedFixture(t, 400, 60, 11)
 	const k = 5
-	seq, err := JointTopK(tree, scorer, users, k)
+	want := oracleTopK(t, tree, scorer, users, k)
+	base, err := BaselineTopK(tree, scorer, users, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		for _, groups := range []int{1, 4, 9} {
-			par, err := JointTopKParallel(tree, scorer, users, k, workers, groups)
-			if err != nil {
-				t.Fatalf("workers=%d groups=%d: %v", workers, groups, err)
-			}
-			if len(par.PerUser) != len(seq.PerUser) {
-				t.Fatalf("workers=%d groups=%d: %d users, want %d", workers, groups, len(par.PerUser), len(seq.PerUser))
-			}
-			for ui := range seq.PerUser {
-				s, p := seq.PerUser[ui], par.PerUser[ui]
-				if s.RSk != p.RSk && !(math.IsInf(s.RSk, -1) && math.IsInf(p.RSk, -1)) {
-					t.Fatalf("workers=%d groups=%d user %d: RSk %v != %v", workers, groups, ui, p.RSk, s.RSk)
+	for ui := range want {
+		if math.Abs(want[ui].RSk-base[ui].RSk) > 1e-9 {
+			t.Fatalf("user %d: oracle RSk %v, IR-tree search %v", ui, want[ui].RSk, base[ui].RSk)
+		}
+	}
+	// Forwarded seeds as a coordinator would send them: lower bounds on
+	// each user's global k-th score, here exact, halved or absent.
+	seeds := make([]float64, len(users))
+	for ui, w := range want {
+		if w.RSk > 0 {
+			seeds[ui] = w.RSk * []float64{1, 0.5, 0}[ui%3]
+		}
+	}
+	for _, sd := range []struct {
+		name  string
+		seeds []float64
+	}{{"nil", nil}, {"forwarded", seeds}} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			for _, groups := range []int{1, 3, 4, 8, 9} {
+				got, err := JointTopK(tree, scorer, users, k, workers, groups, sd.seeds)
+				if err != nil {
+					t.Fatalf("workers=%d groups=%d: %v", workers, groups, err)
 				}
-				if len(s.Results) != len(p.Results) {
-					t.Fatalf("workers=%d groups=%d user %d: %d results, want %d",
-						workers, groups, ui, len(p.Results), len(s.Results))
-				}
-				for j := range s.Results {
-					if s.Results[j] != p.Results[j] {
-						t.Fatalf("workers=%d groups=%d user %d result %d: %+v != %+v",
-							workers, groups, ui, j, p.Results[j], s.Results[j])
-					}
-				}
+				sameTopK(t, fmt.Sprintf("seeds=%s workers=%d groups=%d", sd.name, workers, groups), got.PerUser, want)
 			}
 		}
+	}
+}
+
+// TestPrunedRefinementMatchesUnpruned asserts the lossless-pruning claim
+// directly: for every user, the suffix-maxima-pruned refinement (what
+// IndividualTopKWith and JointTopK run) returns exactly what the unpruned
+// Algorithm 2 scan (unprunedTopK, the test oracle) returns — scores,
+// order, and RSk.
+func TestPrunedRefinementMatchesUnpruned(t *testing.T) {
+	for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.TFIDF, textrel.KO} {
+		tree, scorer, users := groupedFixture(t, 600, 40, int64(17+measure))
+		su := BuildSuperUser(users, scorer)
+		tr, err := TraverseWith(tree, scorer, su, 5, &TraverseScratch{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		norms := scorer.UserNorms(users)
+		ds := tree.Dataset()
+		want := make([]UserTopK, len(users))
+		for ui := range users {
+			want[ui] = unprunedTopK(ds, scorer, &users[ui], norms[ui], tr, 5)
+		}
+		got := IndividualTopKWith(ds, scorer, users, norms, tr, NewRefineIndex(tr), 5)
+		sameTopK(t, measure.String(), got, want)
 	}
 }
 
 // TestGroupedTraversalCoversUserTopK checks the grouped soundness
 // argument directly: each group traversal's candidate set contains every
 // object of its users' exact (baseline-computed) top-k.
-// TestPrunedRefinementMatchesUnpruned asserts the lossless-pruning claim
-// directly: for every user, the suffix-maxima-pruned refinement (what
-// IndividualTopK and the parallel engine run) returns exactly what the
-// unpruned Algorithm 2 scan (OneUserTopK, the oracle) returns — scores,
-// order, and RSk. This is the invariant that lets the sequential path
-// share the grouped path's pruning rules.
-func TestPrunedRefinementMatchesUnpruned(t *testing.T) {
-	for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.TFIDF, textrel.KO} {
-		tree, scorer, users := groupedFixture(t, 600, 40, int64(17+measure))
-		su := BuildSuperUser(users, scorer)
-		tr, err := Traverse(tree, scorer, su, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aux := buildRefineAux(tr)
-		norms := scorer.UserNorms(users)
-		ds := tree.Dataset()
-		var sc RefineScratch
-		for ui := range users {
-			want := OneUserTopK(ds, scorer, &users[ui], norms[ui], tr, 5)
-			got := OneUserTopKPrunedWith(ds, scorer, &users[ui], norms[ui], tr, aux, 5, &sc)
-			if got.RSk != want.RSk || len(got.Results) != len(want.Results) {
-				t.Fatalf("%v user %d: pruned %+v != unpruned %+v", measure, ui, got, want)
-			}
-			for i := range want.Results {
-				if got.Results[i] != want.Results[i] {
-					t.Fatalf("%v user %d result %d: pruned %+v != unpruned %+v",
-						measure, ui, i, got.Results[i], want.Results[i])
-				}
-			}
-		}
-	}
-}
-
 func TestGroupedTraversalCoversUserTopK(t *testing.T) {
 	tree, scorer, users := groupedFixture(t, 400, 40, 19)
 	const k = 4
@@ -146,7 +139,7 @@ func TestGroupedTraversalCoversUserTopK(t *testing.T) {
 			gu[i] = users[ui]
 		}
 		su := BuildSuperUser(gu, scorer)
-		tr, err := Traverse(tree, scorer, su, k)
+		tr, err := TraverseWith(tree, scorer, su, k, &TraverseScratch{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,47 +116,39 @@ func (sc *TraverseScratch) queues(k int) (pq *container.Heap[travCand], lo *cont
 	return sc.pq, sc.lo, sc.ro
 }
 
-// Traverse implements Algorithm 1: a single best-first MIR-tree traversal
-// for the super-user that visits each node at most once, pruning every
-// subtree whose upper bound cannot reach RSk(us). tree must be built over
-// the dataset the users were generated against. It is TraverseWith with
-// fresh scratch; loops over many groups should reuse one scratch per
-// worker instead.
-func Traverse(tree *irtree.Tree, scorer *textrel.Scorer, su SuperUser, k int) (*TraversalResult, error) {
-	return TraverseWith(tree, scorer, su, k, &TraverseScratch{})
-}
-
-// TraverseWith is Traverse with caller-supplied scratch: the queues and
-// per-node sum buffers are reused across calls, leaving only the returned
-// result's own slices to allocate. Results are identical to Traverse.
+// TraverseWith implements Algorithm 1: a single best-first MIR-tree
+// traversal for the super-user that visits each node at most once,
+// pruning every subtree whose upper bound cannot reach RSk(us). tree must
+// be built over the dataset the users were generated against. The
+// scratch's queues and per-node sum buffers are reused across calls,
+// leaving only the returned result's own slices to allocate; loops over
+// many groups should reuse one scratch per worker.
+//
+// With a positive su.Floor every pruning test runs against
+// max(RSk(us), su.Floor) instead of RSk(us) alone. A coordinator that
+// already knows a global lower bound — the k-th best score some other
+// shard established — passes it as the floor so this traversal prunes
+// subtrees and objects that bound proves can never enter any group
+// user's global top-k: for every group user u, floor ≤ RSk_global(u), and
+// an object with group UB below the floor scores below it for every
+// user. Lossless for the merged answer by construction. A floor ≤ 0 is
+// no floor (see SuperUser.Floor): the threshold then starts at
+// −MaxFloat64, which no finite bound falls below, so nothing is pruned
+// before LO fills.
 //
 //maxbr:hotpath
 func TraverseWith(tree *irtree.Tree, scorer *textrel.Scorer, su SuperUser, k int, sc *TraverseScratch) (*TraversalResult, error) {
-	return TraverseBounded(tree, scorer, su, k, -math.MaxFloat64, sc)
-}
-
-// TraverseBounded is TraverseWith with an externally supplied score floor:
-// every pruning test runs against max(RSk(us), floor) instead of RSk(us)
-// alone. With floor = −MaxFloat64 it is step-for-step identical to the
-// unseeded traversal (all bounds are finite, so a −MaxFloat64 threshold
-// never fires before LO fills). A coordinator that already knows a global
-// lower bound — the k-th best score some other shard established — passes
-// it as the floor so this traversal prunes subtrees and objects that
-// bound proves can never enter any group user's global top-k: for every
-// group user u, floor ≤ RSk_global(u), and an object with group UB below
-// the floor scores below it for every user. Lossless for the merged
-// answer by construction.
-//
-//maxbr:hotpath
-func TraverseBounded(tree *irtree.Tree, scorer *textrel.Scorer, su SuperUser, k int, floor float64, sc *TraverseScratch) (*TraversalResult, error) {
 	//maxbr:ignore hotpathalloc the result object is the one deliberate allocation per traversal (documented above)
 	res := &TraversalResult{RSkSuper: -math.MaxFloat64}
 	if tree.RootID() < 0 || su.NumUsers == 0 {
 		return res, nil
 	}
 
-	// thr is the live pruning threshold: max(res.RSkSuper, floor).
-	thr := floor
+	// thr is the live pruning threshold: max(res.RSkSuper, su.Floor).
+	thr := -math.MaxFloat64
+	if su.Floor > 0 {
+		thr = su.Floor
+	}
 
 	// PQ is keyed by the lower bound (descending), per Section 5.4: objects
 	// with the best lower bounds surface early, which tightens RSk(us).
@@ -258,78 +250,6 @@ type UserTopK struct {
 	// truncates, since a higher starting RSk breaks the descending-UB
 	// candidate scan earlier.
 	Scored int
-}
-
-// IndividualTopK implements Algorithm 2: computes each user's exact top-k
-// from the candidate objects of a traversal. cands must contain LO (any
-// order) and RO sorted by descending upper bound, as produced by Traverse.
-func IndividualTopK(ds *dataset.Dataset, scorer *textrel.Scorer, users []dataset.User, norms []float64, tr *TraversalResult, k int) []UserTopK {
-	return IndividualTopKWith(ds, scorer, users, norms, tr, NewRefineIndex(tr), k)
-}
-
-// RefineIndex is the precomputed pruning state of one traversal's
-// candidate list (suffix maxima of the UB components — see
-// OneUserTopKPruned). It depends only on the TraversalResult, so callers
-// refining against one traversal repeatedly should build it once and
-// share it across calls.
-type RefineIndex struct {
-	aux *refineAux
-}
-
-// NewRefineIndex builds the pruning index over tr's candidates.
-func NewRefineIndex(tr *TraversalResult) RefineIndex {
-	return RefineIndex{aux: buildRefineAux(tr)}
-}
-
-// IndividualTopKWith is IndividualTopK against a prebuilt RefineIndex.
-// The suffix-maxima pruning is provably lossless (see OneUserTopKPruned),
-// so results match the unpruned Algorithm 2 scan exactly — the sequential
-// refinement prunes just as the grouped parallel path does.
-func IndividualTopKWith(ds *dataset.Dataset, scorer *textrel.Scorer, users []dataset.User, norms []float64, tr *TraversalResult, ri RefineIndex, k int) []UserTopK {
-	out := make([]UserTopK, len(users))
-	var sc RefineScratch // one reusable top-k buffer across all users
-	for ui := range users {
-		out[ui] = OneUserTopKPrunedWith(ds, scorer, &users[ui], norms[ui], tr, ri.aux, k, &sc)
-	}
-	return out
-}
-
-// OneUserTopK refines one user's exact top-k from a traversal's candidates
-// — the per-user body of Algorithm 2, exposed so the parallel engine can
-// fan it out over users. Ties on the k-th score are broken by ascending
-// object ID, making the retained set a function of the candidate multiset
-// alone: grouped (parallel) and global traversals yield identical answers,
-// the engine's equivalence guarantee. It is the no-pruning-index special
-// case of OneUserTopKPruned (see grouped.go).
-func OneUserTopK(ds *dataset.Dataset, scorer *textrel.Scorer, u *dataset.User, norm float64, tr *TraversalResult, k int) UserTopK {
-	return OneUserTopKPruned(ds, scorer, u, norm, tr, nil, k)
-}
-
-// JointResult bundles everything the joint processing yields.
-type JointResult struct {
-	Super   SuperUser
-	PerUser []UserTopK
-	Trav    *TraversalResult
-	Norms   []float64
-	// Visited totals the tree nodes expanded across all group traversals
-	// (populated by the grouped/seeded pipelines; see TraversalResult).
-	Visited int
-	// Refined totals the candidates scored across all per-user refinements
-	// (populated by the grouped/seeded pipelines; see UserTopK.Scored).
-	Refined int
-}
-
-// JointTopK runs the full Section 5 pipeline: build the super-user,
-// traverse once (Algorithm 1), then refine per user (Algorithm 2).
-func JointTopK(tree *irtree.Tree, scorer *textrel.Scorer, users []dataset.User, k int) (*JointResult, error) {
-	su := BuildSuperUser(users, scorer)
-	tr, err := Traverse(tree, scorer, su, k)
-	if err != nil {
-		return nil, err
-	}
-	norms := scorer.UserNorms(users)
-	per := IndividualTopK(tree.Dataset(), scorer, users, norms, tr, k)
-	return &JointResult{Super: su, PerUser: per, Trav: tr, Norms: norms}, nil
 }
 
 // BaselineTopK computes each user's top-k independently with the IR-tree

@@ -70,7 +70,7 @@ func TestJointMatchesBaseline(t *testing.T) {
 	for _, measure := range []textrel.MeasureKind{textrel.LM, textrel.TFIDF, textrel.KO, textrel.BM25} {
 		tree, scorer, us := setup(t, measure, 800, 40)
 		for _, k := range []int{1, 5, 10} {
-			joint, err := JointTopK(tree, scorer, us.Users, k)
+			joint, err := JointTopK(tree, scorer, us.Users, k, 1, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestJointMatchesBaseline(t *testing.T) {
 func TestJointIOCheaperThanBaseline(t *testing.T) {
 	tree, scorer, us := setup(t, textrel.LM, 1500, 60)
 	tree.IO().Reset()
-	if _, err := JointTopK(tree, scorer, us.Users, 10); err != nil {
+	if _, err := JointTopK(tree, scorer, us.Users, 10, 1, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	jointIO := tree.IO().Total()
@@ -126,7 +126,7 @@ func TestTraverseVisitsNodesOnce(t *testing.T) {
 	tree, scorer, us := setup(t, textrel.LM, 1000, 30)
 	su := BuildSuperUser(us.Users, scorer)
 	tree.IO().Reset()
-	if _, err := Traverse(tree, scorer, su, 10); err != nil {
+	if _, err := TraverseWith(tree, scorer, su, 10, &TraverseScratch{}); err != nil {
 		t.Fatal(err)
 	}
 	if visits := tree.IO().NodeVisits(); visits > int64(tree.NumNodes()) {
@@ -141,7 +141,7 @@ func TestTraversalCandidatesComplete(t *testing.T) {
 		tree, scorer, us := setup(t, measure, 600, 25)
 		k := 5
 		su := BuildSuperUser(us.Users, scorer)
-		tr, err := Traverse(tree, scorer, su, k)
+		tr, err := TraverseWith(tree, scorer, su, k, &TraverseScratch{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestTraversalCandidatesComplete(t *testing.T) {
 func TestTraverseROUBDescending(t *testing.T) {
 	tree, scorer, us := setup(t, textrel.LM, 800, 30)
 	su := BuildSuperUser(us.Users, scorer)
-	tr, err := Traverse(tree, scorer, su, 5)
+	tr, err := TraverseWith(tree, scorer, su, 5, &TraverseScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestTraverseEmptyTree(t *testing.T) {
 	ds := dataset.Build(nil, vocab.New())
 	scorer := textrel.NewScorer(ds, textrel.KO, 0.5)
 	tree := irtree.Build(ds, scorer.Model, irtree.Config{Kind: irtree.MIRTree})
-	tr, err := Traverse(tree, scorer, SuperUser{NumUsers: 1, MinNorm: 1, MaxNorm: 1}, 3)
+	tr, err := TraverseWith(tree, scorer, SuperUser{NumUsers: 1, MinNorm: 1, MaxNorm: 1}, 3, &TraverseScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestTraverseEmptyTree(t *testing.T) {
 
 func TestJointKLargerThanObjects(t *testing.T) {
 	tree, scorer, us := setup(t, textrel.KO, 300, 10)
-	joint, err := JointTopK(tree, scorer, us.Users, 400)
+	joint, err := JointTopK(tree, scorer, us.Users, 400, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

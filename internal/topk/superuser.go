@@ -6,6 +6,8 @@
 package topk
 
 import (
+	"slices"
+
 	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/textrel"
@@ -15,7 +17,7 @@ import (
 // SuperUser aggregates a group of users (Section 5.2): the MBR of their
 // locations, the union and intersection of their keywords, and the group's
 // extreme normalizers, which keep Lemma 2 sound under per-user
-// normalization (DESIGN.md §4).
+// normalization (README, "Design notes").
 type SuperUser struct {
 	MBR      geo.Rect
 	Uni      []vocab.TermID // union of user keywords, ascending
@@ -23,6 +25,12 @@ type SuperUser struct {
 	MinNorm  float64        // min over users of Norm(u)
 	MaxNorm  float64        // max over users of Norm(u)
 	NumUsers int
+	// Floor is a known lower bound on every member's RSk — the k-th best
+	// score a coordinator already established from other shards. The
+	// traversal prunes against max(RSk(us), Floor). A Floor ≤ 0 means no
+	// floor: the textrel.Model contract gives Weight ≥ 0, so every STS is
+	// ≥ 0 and such a floor could never prune anything.
+	Floor float64
 }
 
 // BuildSuperUser constructs the super-user of a user group, computing each
@@ -45,19 +53,11 @@ func BuildSuperUser(users []dataset.User, scorer *textrel.Scorer) SuperUser {
 			su.Int = append(su.Int, t)
 		}
 	}
-	sortTermIDs(su.Uni)
-	sortTermIDs(su.Int)
+	slices.Sort(su.Uni)
+	slices.Sort(su.Int)
 	norms := scorer.UserNorms(users)
 	su.MinNorm, su.MaxNorm = textrel.GroupNorms(norms)
 	return su
-}
-
-func sortTermIDs(ts []vocab.TermID) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }
 
 // UBText converts an entry's maximum text sum over the union terms into

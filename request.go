@@ -258,7 +258,7 @@ func (ix *Index) NewParallelSession(users []UserSpec, k int, opts ParallelOption
 	if err != nil {
 		return nil, err
 	}
-	if err := s.engine.PrepareJointParallel(k, opts.core()); err != nil {
+	if err := s.engine.PrepareJoint(k, opts.core()); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -336,9 +336,9 @@ func (s *Session) Run(req Request) (Result, error) {
 		case Exhaustive:
 			sel, err = s.engine.Baseline(q)
 		case Approx:
-			sel, err = s.engine.SelectParallel(q, core.KeywordsApprox, req.Parallel.core())
+			sel, err = s.engine.Select(q, core.KeywordsApprox, req.Parallel.core())
 		case Exact:
-			sel, err = s.engine.SelectParallel(q, core.KeywordsExact, req.Parallel.core())
+			sel, err = s.engine.Select(q, core.KeywordsExact, req.Parallel.core())
 		default:
 			// The enclosing case narrowed Strategy to these three.
 			panic(fmt.Sprintf("maxbrstknn: unreachable strategy %d", int(req.Strategy)))
@@ -449,7 +449,7 @@ func (s *Session) JointTopKAll() ([][]RankedObject, error) {
 	if err := s.checkOpen("JointTopKAll"); err != nil {
 		return nil, err
 	}
-	res, err := topk.JointTopK(s.snap.tree, s.engine.Scorer, s.users, s.k)
+	res, err := topk.JointTopK(s.snap.tree, s.engine.Scorer, s.users, s.k, 1, 1, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -288,21 +288,19 @@ type ShardPhase1 struct {
 // seeds[u] (optional — nil means no bounds known) is a lower bound on
 // user u's global k-th best score, established by the coordinator from
 // shards that already answered; the shard's traversals and refinements
-// prune below it, losslessly for the merged global top-k. Merging all
-// shards' lists per user by (score descending, global id ascending) and
-// keeping k reproduces the single-index lists and thresholds exactly.
+// prune below it, losslessly for the merged global top-k. A seed ≤ 0 is
+// no bound, since every score is ≥ 0. Merging all shards' lists per user
+// by (score descending, global id ascending) and keeping k reproduces
+// the single-index lists and thresholds exactly.
 func (ss *ShardSession) Phase1(seeds []float64, opts ParallelOptions) (ShardPhase1, error) {
 	if err := ss.s.checkOpen("Phase1"); err != nil {
 		return ShardPhase1{}, err
 	}
-	if seeds == nil {
-		seeds = make([]float64, len(ss.s.users))
-	}
-	if len(seeds) != len(ss.s.users) {
+	if seeds != nil && len(seeds) != len(ss.s.users) {
 		return ShardPhase1{}, fmt.Errorf("maxbrstknn: %d seeds for %d users", len(seeds), len(ss.s.users))
 	}
 	po := opts.core().Normalize()
-	res, err := topk.JointTopKParallelSeeded(ss.s.snap.tree, ss.s.engine.Scorer, ss.s.users, ss.s.k, po.Workers, po.Groups, seeds)
+	res, err := topk.JointTopK(ss.s.snap.tree, ss.s.engine.Scorer, ss.s.users, ss.s.k, po.Workers, po.Groups, seeds)
 	if err != nil {
 		return ShardPhase1{}, err
 	}
@@ -323,6 +321,7 @@ func (ss *ShardSession) Phase1(seeds []float64, opts ParallelOptions) (ShardPhas
 // its shard's exact local top-k under the same order, the merge equals
 // the single-index list whenever that order is the single index's —
 // which it is for Phase1 always, and for TopK when scores are distinct.
+// A k ≤ 0 keeps nothing.
 func MergeTopK(k int, lists ...[]RankedObject) []RankedObject {
 	var all []RankedObject
 	for _, l := range lists {
@@ -334,7 +333,7 @@ func MergeTopK(k int, lists ...[]RankedObject) []RankedObject {
 		}
 		return all[i].ObjectID < all[j].ObjectID
 	})
-	if len(all) > k {
+	if k = max(k, 0); len(all) > k {
 		all = all[:k]
 	}
 	return all

@@ -383,6 +383,12 @@ func TestShardTopKMerge(t *testing.T) {
 	if got := MergeTopK(5, lists...); !reflect.DeepEqual(got, want) {
 		t.Fatalf("merged top-k differs:\n got %+v\nwant %+v", got, want)
 	}
+	// A k ≤ 0 keeps nothing, where slicing to k would panic.
+	for _, k := range []int{0, -1} {
+		if got := MergeTopK(k, lists...); len(got) != 0 {
+			t.Fatalf("k=%d kept %d objects", k, len(got))
+		}
+	}
 }
 
 // TestShardBuilderValidation covers the shard facade's rejection paths
